@@ -50,21 +50,12 @@ class PreprocessReport:
 def aggregate_trace(trace: HttpTrace, psl: PublicSuffixList | None = None) -> HttpTrace:
     """Rename every host in *trace* to its aggregated server name.
 
-    Equivalent to ``trace.map_hosts(normalize_server_name)`` with a
-    per-distinct-host cache, inlined because this runs once per request
-    of every ingested day.
+    :meth:`~repro.httplog.trace.HttpTrace.map_hosts` normalises each
+    distinct host once and rewrites only the host column.
     """
-    cache: dict[str, str] = {}
-    renamed = []
-    append = renamed.append
-    for request in trace.requests:
-        host = request.host
-        new_host = cache.get(host)
-        if new_host is None:
-            new_host = normalize_server_name(host, psl)
-            cache[host] = new_host
-        append(request if new_host == host else request.with_host(new_host))
-    return HttpTrace(renamed, name=f"{trace.name}:aggregated")
+    return trace.map_hosts(
+        lambda host: normalize_server_name(host, psl), name=f"{trace.name}:aggregated"
+    )
 
 
 def preprocess(

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from operator import attrgetter
 from urllib.parse import urlparse
 
 from repro.config import PruningConfig
@@ -96,16 +95,18 @@ def dominant_referrers(trace: HttpTrace) -> dict[str, str]:
     (and distinct from the server itself) count; servers with no external
     referrer are absent.
     """
+    hosts = trace.column("host")
+    totals = Counter(hosts)
+    # A trace repeats a few thousand distinct (server, Referer) pairs
+    # over hundreds of thousands of requests: each pair is handled once
+    # with its request count, each distinct Referer parsed once and each
+    # distinct referrer host normalised once.  Pairs come in first-seen
+    # order, so every per-server Counter fills in trace order and
+    # most_common's tie-break is the first-seen landing server.
     referrers_of: dict[str, Counter[str]] = defaultdict(Counter)
-    totals: Counter[str] = Counter(map(attrgetter("host"), trace.requests))
-    # A trace carries a handful of distinct Referer values (and far fewer
-    # distinct referrer hosts) repeated tens of thousands of times; each
-    # distinct value is parsed once and each distinct host normalised
-    # once, turning this pass into dict lookups per request.
     landing_of: dict[str, str | None] = {}
     host_cache: dict[str, str | None] = {}
-    for request in trace:
-        referrer = request.referrer
+    for (server, referrer), hits in Counter(zip(hosts, trace.column("referrer"))).items():
         if not referrer:
             continue
         if referrer in landing_of:
@@ -113,9 +114,8 @@ def dominant_referrers(trace: HttpTrace) -> dict[str, str]:
         else:
             landing = referrer_host(referrer, host_cache)
             landing_of[referrer] = landing
-        server = request.host
         if landing is not None and landing != server:
-            referrers_of[server][landing] += 1
+            referrers_of[server][landing] += hits
     dominant: dict[str, str] = {}
     for server, counts in referrers_of.items():
         landing, hits = counts.most_common(1)[0]

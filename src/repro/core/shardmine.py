@@ -9,8 +9,8 @@ state:
 
 **Map (phase A — index extraction).**  The trace is cut into contiguous
 shards (day-partition-aligned when the streaming window provides
-boundaries).  Each shard job makes one pass over its requests, applying
-the same SLD aggregation as :func:`~repro.core.preprocess.preprocess`,
+boundaries).  Each shard job reads its slice of the trace's columns,
+applying the same SLD aggregation as :func:`~repro.core.preprocess.preprocess`,
 and emits inverted-index partials (clients / IPs / URI files / optional
 parameter patterns and time windows, per server) keyed by the
 **namespace-stable** ids of :class:`~repro.core.interning.StableInterner`
@@ -115,8 +115,8 @@ from repro.core.pruning import referrer_host
 from repro.core.results import MAIN_DIMENSION
 from repro.domains.names import normalize_server_name
 from repro.errors import PipelineError
-from repro.httplog.records import HttpRequest
 from repro.httplog.trace import HttpTrace
+from repro.httplog.uri import query_parameter_names, uri_file
 from repro.stream.store import PartialStore, TraceStore
 from repro.util.parallel import JobPool
 
@@ -231,13 +231,12 @@ def _resolve_source(spec: dict) -> HttpTrace:
         if cut is not None:
             index, count = int(cut[0]), int(cut[1])
             start, stop = shard_ranges(len(trace), count)[index]
-            trace = HttpTrace(trace.requests[start:stop], name=trace.name)
+            trace = trace.slice(start, stop)
         return trace
     if kind == "spill":
         payload = PartialStore(source["root"]).load(source["name"], source["digest"])
-        return HttpTrace(
-            (HttpRequest.from_dict(entry) for entry in payload["requests"]),
-            name=str(source.get("trace_name", "shard")),
+        return HttpTrace.from_columns(
+            payload["columns"], name=str(source.get("trace_name", "shard"))
         )
     raise PipelineError(f"unknown shard-job source kind {kind!r}")
 
@@ -269,66 +268,74 @@ def run_shard_job(spec: dict) -> dict:
     want_referrers = bool(spec.get("want_referrers", False))
     window_seconds = float(spec["window_seconds"])
 
-    sid_of_host: dict[str, tuple[int, str]] = {}
+    # One pass per column over distinct values: each distinct host is
+    # normalised once, each distinct (host, value) pair visited once, in
+    # first-seen order — so every dict below fills in the order a
+    # per-request scan would fill it, and the spilled payload is the same.
+    hosts = trace.column("host")
     vocab = StableInterner()
-    clients: dict[int, set[str]] = defaultdict(set)
-    ips: dict[int, set[str]] = defaultdict(set)
-    files: dict[int, set[str]] = defaultdict(set)
+    sid_of_host: dict[str, tuple[int, str]] = {}
+    for host in dict.fromkeys(hosts):
+        label = normalize_server_name(host) if aggregate else host
+        sid_of_host[host] = (vocab.intern(label), label)
+    clients: dict[int, set[str]] = {sid: set() for sid, _ in sid_of_host.values()}
+    ips: dict[int, set[str]] = {sid: set() for sid in clients}
+    files: dict[int, set[str]] = {sid: set() for sid in clients}
     patterns: dict[int, set[tuple[str, ...]]] = defaultdict(set)
     windows: dict[int, set[int]] = defaultdict(set)
     counts: Counter[int] = Counter()
+    for host, hits in Counter(hosts).items():
+        counts[sid_of_host[host][0]] += hits
+    for host, client in dict.fromkeys(zip(hosts, trace.column("client"))):
+        clients[sid_of_host[host][0]].add(client)
+    for host, address in dict.fromkeys(zip(hosts, trace.column("server_ip"))):
+        ips[sid_of_host[host][0]].add(address)
     file_of_uri: dict[str, str] = {}
-    raw_hosts: set[str] = set()
+    names_of_uri: dict[str, tuple[str, ...]] = {}
+    for host, uri in dict.fromkeys(zip(hosts, trace.column("uri"))):
+        sid = sid_of_host[host][0]
+        filename = file_of_uri.get(uri)
+        if filename is None:
+            filename = file_of_uri[uri] = uri_file(uri)
+        files[sid].add(filename)
+        if want_patterns:
+            names = names_of_uri.get(uri)
+            if names is None:
+                names = names_of_uri[uri] = query_parameter_names(uri)
+            if names:
+                patterns[sid].add(names)
+    if want_windows:
+        for host, stamp in zip(hosts, trace.column("timestamp")):
+            windows[sid_of_host[host][0]].add(int(stamp // window_seconds))
     # Referrer summaries mirror pruning.dominant_referrers: per server
     # (aggregated label), count requests per external landing server, in
     # first-seen order — contiguous shards merged in shard order then
     # reproduce the whole-trace first-seen order, so the reduce-side
     # dominant pick matches Counter.most_common's tie-break exactly.
     referrers: dict[int, dict[str, int]] = {}
-    landing_of: dict[str, str | None] = {}
-    host_cache: dict[str, str | None] = {}
-    for request in trace.requests:
-        host = request.host
-        cached = sid_of_host.get(host)
-        if cached is None:
-            raw_hosts.add(host)
-            label = normalize_server_name(host) if aggregate else host
-            cached = (vocab.intern(label), label)
-            sid_of_host[host] = cached
-        sid = cached[0]
-        clients[sid].add(request.client)
-        ips[sid].add(request.server_ip)
-        uri = request.uri
-        filename = file_of_uri.get(uri)
-        if filename is None:
-            filename = request.uri_file
-            file_of_uri[uri] = filename
-        files[sid].add(filename)
-        counts[sid] += 1
-        if want_patterns:
-            names = request.parameter_names
-            if names:
-                patterns[sid].add(names)
-        if want_windows:
-            windows[sid].add(int(request.timestamp // window_seconds))
-        if want_referrers:
-            referrer = request.referrer
-            if referrer:
-                if referrer in landing_of:
-                    landing = landing_of[referrer]
-                else:
-                    landing = referrer_host(referrer, host_cache)
-                    landing_of[referrer] = landing
-                if landing is not None and landing != cached[1]:
-                    entries = referrers.get(sid)
-                    if entries is None:
-                        entries = referrers[sid] = {}
-                    entries[landing] = entries.get(landing, 0) + 1
+    if want_referrers:
+        landing_of: dict[str, str | None] = {}
+        host_cache: dict[str, str | None] = {}
+        pairs = Counter(zip(hosts, trace.column("referrer")))
+        for (host, referrer), hits in pairs.items():
+            if not referrer:
+                continue
+            if referrer in landing_of:
+                landing = landing_of[referrer]
+            else:
+                landing = referrer_host(referrer, host_cache)
+                landing_of[referrer] = landing
+            sid, label = sid_of_host[host]
+            if landing is not None and landing != label:
+                entries = referrers.get(sid)
+                if entries is None:
+                    entries = referrers[sid] = {}
+                entries[landing] = entries.get(landing, 0) + hits
 
     payload: dict[str, object] = {
         "shard": shard,
         "requests": len(trace),
-        "raw_hosts": sorted(raw_hosts),
+        "raw_hosts": sorted(sid_of_host),
         "vocab": {str(sid): label for sid, label in vocab.to_dict().items()},
         "clients": {str(sid): sorted(found) for sid, found in clients.items()},
         "ips": {str(sid): sorted(found) for sid, found in ips.items()},
@@ -566,7 +573,8 @@ class IndexOnlyTrace(HttpTrace):
     """
 
     def __init__(self, name: str, num_requests: int) -> None:
-        super().__init__((), name=name)
+        self.name = name
+        self._clear_indices()
         self._num_requests = num_requests
 
     def _no_requests(self) -> PipelineError:
@@ -575,15 +583,13 @@ class IndexOnlyTrace(HttpTrace):
             "requests were never assembled in the coordinator"
         )
 
+    @property
+    def _columns(self):
+        # Every request-level read of HttpTrace goes through the columns.
+        raise self._no_requests()
+
     def __len__(self) -> int:
         return self._num_requests
-
-    def __iter__(self):
-        raise self._no_requests()
-
-    @property
-    def requests(self):
-        raise self._no_requests()
 
     @property
     def requests_by_server(self):
@@ -904,14 +910,11 @@ def mine_sharded(
             if partitions is not None:
                 specs = _store_specs(partitions, store_root, boundaries, shards, common)
             else:
-                requests = trace.requests
                 specs = []
                 for index, (start, stop) in enumerate(
                     shard_ranges(len(trace), shards, boundaries)
                 ):
-                    shard_trace = HttpTrace(
-                        requests[start:stop], name=f"{trace.name}:shard{index}"
-                    )
+                    shard_trace = trace.slice(start, stop, name=f"{trace.name}:shard{index}")
                     if dispatcher.inline_traces:
                         source: dict[str, object] = {
                             "kind": "inline",
@@ -919,18 +922,10 @@ def mine_sharded(
                         }
                     else:
                         # The dispatcher can't share our address space:
-                        # spill the shard's requests and hand over a
+                        # spill the shard's columns and hand over a
                         # digest-verified reference instead.
                         input_name = f"input-{index:04d}"
-                        digest, _ = spill.put(
-                            input_name,
-                            {
-                                "requests": [
-                                    request.to_dict()
-                                    for request in shard_trace.requests
-                                ]
-                            },
-                        )
+                        digest, _ = spill.put(input_name, {"columns": shard_trace.columns})
                         input_partials.append(input_name)
                         source = {
                             "kind": "spill",

@@ -17,11 +17,11 @@ a transient failure from a fatal one.
 from __future__ import annotations
 
 import json
-import resource
 import sys
 import traceback
 
 from repro.core.faults import is_retryable, mark_worker_process
+from repro.util.memory import peak_rss_kb
 
 
 def main() -> int:
@@ -35,7 +35,9 @@ def main() -> int:
         from repro.core.shardmine import run_shard_job
 
         result = run_shard_job(spec)
-        result["peak_rss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        # This worker's own peak: ru_maxrss would start at the
+        # coordinator's high-water mark (vfork+exec inherits it).
+        result["peak_rss_kb"] = peak_rss_kb()
     except Exception as error:
         traceback.print_exc()
         print(

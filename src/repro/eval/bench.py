@@ -215,7 +215,7 @@ def _fresh_trace(trace: "HttpTrace") -> "HttpTrace":
     """Same requests, no cached indices — a cold trace for honest timing."""
     from repro.httplog.trace import HttpTrace
 
-    return HttpTrace(trace.requests, name=trace.name)
+    return HttpTrace.from_columns(trace.columns, name=trace.name)
 
 
 def _timed_pipeline(

@@ -43,27 +43,21 @@ import resource
 import sys
 import time
 
+from repro.util.memory import peak_rss_kb
+
 
 def _reset_peak_rss() -> bool:
-    """Reset the kernel's VmHWM counter for this process (Linux only)."""
+    """Reset the kernel's VmHWM counter for this process (Linux only).
+
+    :func:`~repro.util.memory.peak_rss_kb` then reads the peak since the
+    reset.
+    """
     try:
         with open("/proc/self/clear_refs", "w") as handle:
             handle.write("5")
         return True
     except OSError:
         return False
-
-
-def _current_peak_rss_kb() -> int:
-    """VmHWM in KB — peak RSS since the last :func:`_reset_peak_rss`."""
-    try:
-        with open("/proc/self/status") as handle:
-            for line in handle:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1])
-    except OSError:
-        pass
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
 def run_probe(spec: dict) -> dict[str, object]:
@@ -123,7 +117,7 @@ def run_probe(spec: dict) -> dict[str, object]:
         tick = time.perf_counter()
         mined = pipeline.mine(partition.trace, whois=whois)
     mine_seconds = time.perf_counter() - tick
-    mine_peak_rss_kb = _current_peak_rss_kb()
+    mine_peak_rss_kb = peak_rss_kb()
     result = pipeline.finish(mined, redirects)
     total_seconds = time.perf_counter() - tick
 

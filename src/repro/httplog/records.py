@@ -9,7 +9,7 @@ User-Agent, Referer, and the response status code (used when classifying
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from repro.httplog.uri import query_parameter_names, uri_file
 
@@ -60,28 +60,6 @@ class HttpRequest:
         if not self.uri.startswith("/"):
             raise ValueError(f"HttpRequest.uri must be absolute, got {self.uri!r}")
 
-    def with_host(self, host: str) -> "HttpRequest":
-        """Copy of this request addressed to *host* (all else unchanged).
-
-        Preprocessing renames every aggregated request, so this skips the
-        dataclass constructor and its re-validation: every other field
-        was validated when this record was built, and *host* must be
-        non-empty like the original.
-        """
-        if not host:
-            raise ValueError("HttpRequest.host must be non-empty")
-        clone = object.__new__(HttpRequest)
-        object.__setattr__(clone, "timestamp", self.timestamp)
-        object.__setattr__(clone, "client", self.client)
-        object.__setattr__(clone, "host", host)
-        object.__setattr__(clone, "server_ip", self.server_ip)
-        object.__setattr__(clone, "uri", self.uri)
-        object.__setattr__(clone, "user_agent", self.user_agent)
-        object.__setattr__(clone, "referrer", self.referrer)
-        object.__setattr__(clone, "status", self.status)
-        object.__setattr__(clone, "method", self.method)
-        return clone
-
     @property
     def uri_file(self) -> str:
         """The paper's URI file (filename component) of this request."""
@@ -99,17 +77,17 @@ class HttpRequest:
 
     def to_dict(self) -> dict[str, object]:
         """Serialise to a JSON-compatible dict (see :mod:`repro.httplog.loader`)."""
-        return {
-            "ts": self.timestamp,
-            "client": self.client,
-            "host": self.host,
-            "ip": self.server_ip,
-            "uri": self.uri,
-            "ua": self.user_agent,
-            "ref": self.referrer,
-            "status": self.status,
-            "method": self.method,
-        }
+        return record_dict(
+            self.timestamp,
+            self.client,
+            self.host,
+            self.server_ip,
+            self.uri,
+            self.user_agent,
+            self.referrer,
+            self.status,
+            self.method,
+        )
 
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "HttpRequest":
@@ -125,3 +103,38 @@ class HttpRequest:
             status=int(data.get("status", 200)),  # type: ignore[arg-type]
             method=str(data.get("method", "GET")),
         )
+
+
+#: The record's fields in declaration order: the column order of
+#: :class:`~repro.httplog.trace.HttpTrace` and of ``HttpRequest(*row)``.
+FIELDS = tuple(field.name for field in fields(HttpRequest))
+
+
+def record_dict(
+    timestamp: float,
+    client: str,
+    host: str,
+    server_ip: str,
+    uri: str,
+    user_agent: str,
+    referrer: str,
+    status: int,
+    method: str,
+) -> dict[str, object]:
+    """One request's fields (in :data:`FIELDS` order) as its JSON object.
+
+    The JSONL wire format: :meth:`HttpRequest.to_dict` for a record, and
+    :meth:`~repro.httplog.trace.HttpTrace.iter_dicts` for a row of a
+    column-backed trace.
+    """
+    return {
+        "ts": timestamp,
+        "client": client,
+        "host": host,
+        "ip": server_ip,
+        "uri": uri,
+        "ua": user_agent,
+        "ref": referrer,
+        "status": status,
+        "method": method,
+    }

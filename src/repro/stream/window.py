@@ -78,7 +78,7 @@ class DayPartition:
         return {
             "day": self.day,
             "trace_name": self.trace.name,
-            "requests": [request.to_dict() for request in self.trace],
+            "requests": list(self.trace.iter_dicts()),
             "whois": whois_to_list(self.whois),
             "redirects": redirects_to_dict(self.redirects),
         }

@@ -384,6 +384,36 @@ class TestMineEquivalence:
         assert sharded.secondary == base.secondary
 
 
+# -- worker memory accounting -------------------------------------------------------
+
+
+class TestWorkerPeakRss:
+    def test_subprocess_workers_report_their_own_peak(self, dataset):
+        """A worker's peak is its own VmHWM, not the coordinator's high-water mark.
+
+        ``ru_maxrss`` of a vfork+exec child starts at its parent's peak, so
+        with ~100 MB of touched ballast in the coordinator it would read at
+        least the coordinator's VmHWM for every worker.
+        """
+        from repro.obs import MetricsRegistry
+        from repro.util.memory import peak_rss_kb
+
+        ballast = b"\x01" * (100 << 20)
+        coordinator_kb = peak_rss_kb()
+        registry = MetricsRegistry()
+        config = SmashConfig().replace(shards=2, dispatch="subprocess", metrics=registry)
+        SmashPipeline(config).mine(dataset.trace, whois=dataset.whois)
+        assert len(ballast) == 100 << 20
+        del ballast
+        peaks = [
+            span.attributes["worker_peak_rss_kb"]
+            for span in registry.spans
+            if span.name == "pipeline.mine.shard_index"
+        ]
+        assert len(peaks) == 2
+        assert all(0 < peak < coordinator_kb for peak in peaks), (peaks, coordinator_kb)
+
+
 # -- store-direct shard jobs --------------------------------------------------------
 
 
