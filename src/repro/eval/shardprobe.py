@@ -28,11 +28,14 @@ context.
 
 The probe separates the coordinator's peak from the workers': this
 process *is* the coordinator, so its mine-phase ``VmHWM`` is reported as
-``coordinator_peak_rss_kb``, while ``worker_peak_rss_kb`` is the
-children's ``ru_maxrss`` (subprocess-dispatched shard jobs, process
-executors).  An ``out_of_core`` row additionally drops the loaded
-partition before mining and hands the mine ``(day, digest)`` references
-instead, so the coordinator never holds a raw request.
+``coordinator_peak_rss_kb``, while ``worker_peak_rss_kb`` is the largest
+``VmHWM`` a subprocess shard worker reported for itself on its
+``pipeline.mine.shard_index`` span, or 0 when no shard job ran in a
+worker.  (The children's ``ru_maxrss`` would not do: a vfork+exec child
+inherits the coordinator's high-water mark.)  An ``out_of_core`` row
+additionally drops the loaded partition before mining and hands the mine
+``(day, digest)`` references instead, so the coordinator never holds a
+raw request.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ def run_probe(spec: dict) -> dict[str, object]:
     from repro.config import SmashConfig
     from repro.core.pipeline import SmashPipeline
     from repro.eval.export import result_to_dict
+    from repro.obs import MetricsRegistry
     from repro.stream.store import TraceStore
 
     out_of_core = bool(spec.get("out_of_core", False))
@@ -79,6 +83,7 @@ def run_probe(spec: dict) -> dict[str, object]:
         from repro.core.faults import FaultPlan
 
         fault_plan = FaultPlan.from_dict(spec["fault_plan"])
+    registry = MetricsRegistry()
     config = SmashConfig().replace(
         shards=int(spec["shards"]),
         workers=int(spec["workers"]),
@@ -88,6 +93,7 @@ def run_probe(spec: dict) -> dict[str, object]:
         shard_retries=int(spec.get("shard_retries", 2)),
         shard_timeout=float(spec.get("shard_timeout", 600.0)),
         fault_plan=fault_plan,
+        metrics=registry,
     )
     config.validate()
     pipeline = SmashPipeline(config)
@@ -123,7 +129,14 @@ def run_probe(spec: dict) -> dict[str, object]:
 
     document = json.dumps(result_to_dict(result), sort_keys=True)
     usage = resource.getrusage(resource.RUSAGE_SELF)
-    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    worker_peak_rss_kb = max(
+        (
+            span.attributes["worker_peak_rss_kb"]
+            for span in registry.spans_named("pipeline.mine.shard_index")
+            if "worker_peak_rss_kb" in span.attributes
+        ),
+        default=0,
+    )
     return {
         "shards": config.shards,
         "workers": config.workers,
@@ -144,9 +157,8 @@ def run_probe(spec: dict) -> dict[str, object]:
         # map phase's memory lives in the children, so the coordinator
         # peak is the out-of-core claim and the worker peak its price.
         "coordinator_peak_rss_kb": mine_peak_rss_kb,
-        "worker_peak_rss_kb": children.ru_maxrss,
+        "worker_peak_rss_kb": worker_peak_rss_kb,
         "mine_phase_isolated": phase_peaks,
-        "children_peak_rss_kb": children.ru_maxrss,
         "digest": hashlib.sha256(document.encode("utf-8")).hexdigest(),
     }
 

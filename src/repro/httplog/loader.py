@@ -14,17 +14,29 @@ through ``HttpRequest.from_dict(json.loads(line))``, which also raises
 the line's error.  Equal strings share one ``str`` per load: a trace
 repeats a few tens of thousands of distinct values across hundreds of
 thousands of fields.
+
+Writing runs the other way round.  :func:`encode_rows` turns the
+columns into each row's JSON text without a dict per row: each
+distinct string is encoded once, each row is one ``%`` row template
+filled with its values' texts, and rows come in bounded chunks.
+:func:`write_jsonl` writes those rows, and
+:func:`repro.stream.store.partition_digest` hashes them in sort-keys
+order.
 """
 
 from __future__ import annotations
 
 import gzip
 import json
+import math
 import re
+from collections.abc import Callable, Iterable, Iterator
+from functools import partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from repro.errors import TraceError
-from repro.httplog.records import FIELDS, HttpRequest
+from repro.httplog.records import FIELDS, HttpRequest, record_dict
 from repro.httplog.trace import HttpTrace
 
 #: A JSON string without escapes or control characters: its text *is*
@@ -59,6 +71,57 @@ def _open_for_write(path: Path):
     return open(path, "w", encoding="utf-8")
 
 
+#: The JSON key of each column, in :data:`FIELDS` order (the wire order).
+_KEYS = tuple(record_dict(*FIELDS))
+
+#: Rows per chunk of :func:`encode_rows`: enough to amortise the
+#: per-chunk work, few enough that a chunk's text stays small.
+_CHUNK_ROWS = 2048
+
+#: json's own encoder, for the values the fast paths of
+#: :func:`_column_encoder` do not cover.
+_encode_json = json.JSONEncoder().encode
+
+
+def _column_encoder(column: tuple) -> Callable[[tuple], Iterable[str]]:
+    """A function from a chunk of *column* to its values' JSON texts."""
+    kinds = set(map(type, column))
+    if kinds == {float} and math.isfinite(sum(column)):
+        return partial(map, float.__repr__)
+    if kinds == {int}:
+        return partial(map, int.__repr__)
+    if kinds == {str}:
+        # A string's text depends on its characters alone, so each
+        # distinct string is encoded once.
+        texts: dict[str, str] = {}
+
+        def encode(chunk: tuple) -> Iterable[str]:
+            for value in set(chunk).difference(texts):
+                texts[value] = encode_basestring_ascii(value)
+            return map(texts.__getitem__, chunk)
+
+        return encode
+    # NaN and infinities, bools, numpy scalars, str subclasses, mixed kinds.
+    return partial(map, _encode_json)
+
+
+def encode_rows(trace: HttpTrace, sort_keys: bool = False) -> Iterator[list[str]]:
+    """Every row of *trace* as JSON text, in chunks of a bounded number of rows.
+
+    A row's text is exactly ``json.dumps(record_dict(*row),
+    sort_keys=sort_keys, separators=(",", ":"))``: keys in wire order,
+    or sorted when *sort_keys* is true.
+    """
+    order = sorted(range(len(FIELDS)), key=_KEYS.__getitem__) if sort_keys else range(len(FIELDS))
+    template = "{" + ",".join(f'"{_KEYS[index]}":%s' for index in order) + "}"
+    columns = [trace.columns[index] for index in order]
+    encoders = [_column_encoder(column) for column in columns]
+    for start in range(0, len(trace), _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        texts = [encode(column[start:stop]) for encode, column in zip(encoders, columns)]
+        yield list(map(template.__mod__, zip(*texts)))
+
+
 def write_jsonl(trace: HttpTrace, path: str | Path) -> int:
     """Write *trace* to *path* (gzip when the name ends in ``.gz``).
 
@@ -66,11 +129,9 @@ def write_jsonl(trace: HttpTrace, path: str | Path) -> int:
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    # json.dumps with these separators builds this same encoder per call.
-    encode = json.JSONEncoder(separators=(",", ":")).encode
     with _open_for_write(target) as handle:
-        for entry in trace.iter_dicts():
-            handle.write(encode(entry))
+        for rows in encode_rows(trace):
+            handle.write("\n".join(rows))
             handle.write("\n")
     return len(trace)
 

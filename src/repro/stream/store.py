@@ -46,7 +46,7 @@ import time
 from pathlib import Path
 
 from repro.errors import StreamError
-from repro.httplog.loader import read_jsonl, write_jsonl
+from repro.httplog.loader import encode_rows, read_jsonl, write_jsonl
 from repro.obs.metrics import NULL_RECORDER
 from repro.stream.window import (
     DayPartition,
@@ -54,6 +54,8 @@ from repro.stream.window import (
     whois_from_list,
     whois_to_list,
 )
+from repro.synth.oracles import RedirectOracle
+from repro.whois.registry import WhoisRegistry
 
 #: Bump on any incompatible change to the partition layout.
 STORE_VERSION = 1
@@ -69,11 +71,26 @@ _DIGEST_PREFIX = 12
 
 
 def partition_digest(partition: DayPartition) -> str:
-    """Content digest of a partition's canonical JSON serialisation."""
-    payload = json.dumps(
-        partition.to_dict(), sort_keys=True, separators=(",", ":")
+    """Content digest of a partition's canonical JSON serialisation.
+
+    That is the sha256 of ``json.dumps(partition.to_dict(),
+    sort_keys=True, separators=(",", ":"))``, fed piecewise instead of
+    built: the document's text around an empty request list, with the
+    rows :func:`~repro.httplog.loader.encode_rows` gives in sort-keys
+    order joined by ``","`` in between.
+    """
+    envelope = json.dumps(
+        partition.envelope([]), sort_keys=True, separators=(",", ":")
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    # Quotes inside JSON strings are escaped, so only the key spells this.
+    head, tail = envelope.split('"requests":[]')
+    digest = hashlib.sha256(f'{head}"requests":['.encode("utf-8"))
+    for index, rows in enumerate(encode_rows(partition.trace, sort_keys=True)):
+        if index:
+            digest.update(b",")
+        digest.update(",".join(rows).encode("utf-8"))
+    digest.update(f"]{tail}".encode("utf-8"))
+    return digest.hexdigest()
 
 
 class PartitionRef:
@@ -82,10 +99,11 @@ class PartitionRef:
     The streaming window holds these instead of full partitions: ``day``
     and ``digest`` are enough to checkpoint, and :meth:`load` memoises
     the materialised partition so the live path reads the disk at most
-    once per resume.
+    once per resume.  The partition's sidecars outlive :meth:`release`,
+    which drops only the trace.
     """
 
-    __slots__ = ("day", "digest", "_store", "_partition")
+    __slots__ = ("day", "digest", "_store", "_partition", "_sidecars")
 
     def __init__(
         self,
@@ -97,16 +115,29 @@ class PartitionRef:
         self.day = day
         self.digest = digest
         self._store = store
+        self._partition: DayPartition | None = None
+        self._sidecars: tuple[WhoisRegistry | None, RedirectOracle | None] | None = None
+        if partition is not None:
+            self._hold(partition)
+
+    def _hold(self, partition: DayPartition) -> None:
         self._partition = partition
+        self._sidecars = (partition.whois, partition.redirects)
 
     def load(self) -> DayPartition:
         """Materialise the partition (verified against its digest)."""
         if self._partition is None:
-            self._partition = self._store.get(self.day, digest=self.digest)
-        return self._partition
+            self._hold(self._store.get(self.day, digest=self.digest))
+        return self._partition  # type: ignore[return-value]
+
+    def sidecars(self) -> tuple[WhoisRegistry | None, RedirectOracle | None]:
+        """The partition's (whois, redirects), loading it only if never held."""
+        if self._sidecars is None:
+            self.load()
+        return self._sidecars  # type: ignore[return-value]
 
     def release(self) -> None:
-        """Drop the memoised partition; the on-disk copy remains."""
+        """Drop the memoised trace; the sidecars and the on-disk copy remain."""
         self._partition = None
 
     def to_dict(self) -> dict[str, object]:
@@ -302,8 +333,6 @@ class TraceStore:
             redirects_path = path / _REDIRECTS_NAME
             redirects = None
             if manifest.get("has_redirects"):
-                from repro.synth.oracles import RedirectOracle
-
                 redirects = RedirectOracle.from_dict(
                     json.loads(redirects_path.read_text())
                 )

@@ -75,10 +75,14 @@ class DayPartition:
     redirects: RedirectOracle | None = None
 
     def to_dict(self) -> dict[str, object]:
+        return self.envelope(list(self.trace.iter_dicts()))
+
+    def envelope(self, requests: list) -> dict[str, object]:
+        """:meth:`to_dict` with *requests* in place of the trace's rows."""
         return {
             "day": self.day,
             "trace_name": self.trace.name,
-            "requests": list(self.trace.iter_dicts()),
+            "requests": requests,
             "whois": whois_to_list(self.whois),
             "redirects": redirects_to_dict(self.redirects),
         }
@@ -185,11 +189,13 @@ class RollingWindow:
     def combined_sidecars(self) -> tuple[WhoisRegistry | None, RedirectOracle | None]:
         """The window's merged (whois, redirects) without the trace.
 
-        Same merge semantics (and results) as :meth:`combined`, but
-        partitions are loaded one at a time and released immediately, so
-        at most one day's requests are resident — the out-of-core
-        coordinator's way to get the window sidecars without holding the
-        window trace.
+        Same merge semantics (and results) as :meth:`combined`, but store
+        references give their sidecars and drop their traces, so no
+        day's requests stay resident — the out-of-core coordinator's way
+        to get the window sidecars without holding the window trace.  A
+        reference keeps its sidecars, so a partition is read back from
+        the store only when its sidecars were never seen in this process
+        (a window restored from a checkpoint), and then only once.
         """
         if not self._slots:
             raise StreamError("cannot combine an empty window")
@@ -199,17 +205,15 @@ class RollingWindow:
             whois: WhoisRegistry | None = None
             landing: dict[str, str] = {}
             for slot in self._slots:
-                partition = self._materialise(slot)
-                if partition.whois is not None:
-                    whois = (
-                        partition.whois
-                        if whois is None
-                        else whois.merged_with(partition.whois)
-                    )
-                if partition.redirects is not None:
-                    landing.update(redirects_to_dict(partition.redirects))
-                if not isinstance(slot, DayPartition):
+                if isinstance(slot, DayPartition):
+                    day_whois, day_redirects = slot.whois, slot.redirects
+                else:
+                    day_whois, day_redirects = slot.sidecars()
                     slot.release()
+                if day_whois is not None:
+                    whois = day_whois if whois is None else whois.merged_with(day_whois)
+                if day_redirects is not None:
+                    landing.update(redirects_to_dict(day_redirects))
             redirects = RedirectOracle(landing_of=landing) if landing else None
             self._sidecars = (whois, redirects)
         return self._sidecars

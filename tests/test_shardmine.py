@@ -413,6 +413,38 @@ class TestWorkerPeakRss:
         assert len(peaks) == 2
         assert all(0 < peak < coordinator_kb for peak in peaks), (peaks, coordinator_kb)
 
+    def test_shard_probe_reports_the_workers_peak(self, dataset, tmp_path, monkeypatch):
+        """``smash bench --suite sharded`` rows carry the workers' own VmHWM.
+
+        Run in-process with the VmHWM reset stubbed out, so nothing is
+        written under ``/proc``; the children's ``ru_maxrss`` would read
+        at least this process's peak.
+        """
+        from repro.eval import shardprobe
+        from repro.stream.window import DayPartition
+        from repro.util.memory import peak_rss_kb
+
+        monkeypatch.setattr(shardprobe, "_reset_peak_rss", lambda: False)
+        store = TraceStore(tmp_path / "store")
+        ref = store.put(DayPartition(0, dataset.trace, dataset.whois, dataset.redirects))
+        ballast = b"\x01" * (100 << 20)
+        row = shardprobe.run_probe(
+            {
+                "store_root": str(store.root),
+                "day": ref.day,
+                "digest": ref.digest,
+                "shards": 2,
+                "workers": 1,
+                "executor": "serial",
+                "dispatch": "subprocess",
+                "out_of_core": True,
+            }
+        )
+        assert len(ballast) == 100 << 20
+        del ballast
+        assert 0 < row["worker_peak_rss_kb"] < peak_rss_kb(), row
+        assert "children_peak_rss_kb" not in row
+
 
 # -- store-direct shard jobs --------------------------------------------------------
 
@@ -777,6 +809,72 @@ class TestStreamEquivalence:
             StreamingSmash(
                 window_size=2, config=SmashConfig().replace(out_of_core=True)
             )
+
+
+class TestOutOfCoreSidecars:
+    """The out-of-core coordinator reads no partition back for its sidecars.
+
+    A store reference keeps the whois/redirect sidecars of a partition it
+    once held, so the window's sidecars never cost a ``store.get`` in the
+    coordinator; a resumed window reads each restored partition once.
+    """
+
+    @pytest.fixture(scope="class")
+    def four_days(self):
+        return list(TraceGenerator(small_scenario(seed=7, days=4)).iter_days())
+
+    @staticmethod
+    def _ingest(engine, days):
+        docs = [result_doc(engine.ingest_dataset(day).result) for day in days]
+        return docs, [event.to_dict() for event in engine.sinks[0].events]
+
+    @staticmethod
+    def _out_of_core(**kwargs) -> SmashConfig:
+        return SmashConfig().replace(shards=2, out_of_core=True, dispatch="serial", **kwargs)
+
+    def test_fresh_stream_never_reads_the_store(self, four_days, tmp_path):
+        from repro.obs import MetricsRegistry
+        from repro.stream.alerts import ListSink
+
+        expected = self._ingest(StreamingSmash(window_size=2, sinks=(ListSink(),)), four_days)
+        registry = MetricsRegistry()
+        engine = StreamingSmash(
+            window_size=2,
+            sinks=(ListSink(),),
+            store_dir=tmp_path / "store",
+            config=self._out_of_core(metrics=registry),
+        )
+        assert self._ingest(engine, four_days) == expected
+        assert registry.spans_named("store.put")
+        assert registry.spans_named("store.get") == []
+
+    def test_resumed_stream_reads_each_partition_once(self, four_days, tmp_path):
+        from repro.obs import MetricsRegistry
+        from repro.stream.alerts import ListSink
+        from repro.stream.checkpoint import load_checkpoint, save_checkpoint
+
+        expected = self._ingest(StreamingSmash(window_size=2, sinks=(ListSink(),)), four_days)
+        engine = StreamingSmash(
+            window_size=2,
+            sinks=(ListSink(),),
+            store_dir=tmp_path / "store",
+            config=self._out_of_core(),
+        )
+        docs, events = self._ingest(engine, four_days[:2])
+        save_checkpoint(engine, tmp_path / "stream.ckpt")
+        registry = MetricsRegistry()
+        resumed = load_checkpoint(
+            tmp_path / "stream.ckpt",
+            config=self._out_of_core(),
+            sinks=(ListSink(),),
+            metrics=registry,
+        )
+        more_docs, more_events = self._ingest(resumed, four_days[2:])
+        assert (docs + more_docs, events + more_events) == expected
+        # Day 1 is the only restored partition still in the window after
+        # day 2 arrives; day 0 is evicted unread.
+        reads = [span.attributes["day"] for span in registry.spans_named("store.get")]
+        assert reads == [1]
 
 
 # -- subprocess matrix: hash seeds x shard counts -----------------------------------
