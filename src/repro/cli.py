@@ -168,7 +168,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             enabled_secondary_dimensions=tuple(args.dimensions.split(","))
         )
     config.validate()
-    result = SmashPipeline(config).run(trace, whois=whois, redirects=redirects)
+    with SmashPipeline(config) as pipeline:
+        result = pipeline.run(trace, whois=whois, redirects=redirects)
     write_result_json(result, args.out)
     print(
         f"{len(result.campaigns)} campaigns, "
@@ -361,36 +362,38 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 )
 
     updates = []
-    for partition in feed():
-        update = engine.ingest_day(
-            partition.day,
-            partition.trace,
-            whois=partition.whois,
-            redirects=partition.redirects,
-        )
-        updates.append(update)
-        critical = sum(1 for event in update.alerts if event.severity == "critical")
-        logger.info(
-            f"day {update.day}",
-            extra={
-                "data": {
-                    "day": update.day,
-                    "campaigns": update.num_campaigns,
-                    "servers": len(update.detected_servers),
-                    "new": len(update.events_of("new_campaign")),
-                    "grown": len(update.events_of("campaign_growth")),
-                    "died": len(update.events_of("campaign_died")),
-                    "active": len(update.active),
-                    "alerts": len(update.alerts),
-                    "critical": critical,
-                    "mined_dimensions": len(update.mined_dimensions),
-                    "reused_dimensions": len(update.reused_dimensions),
-                }
-            },
-        )
-        if checkpoint is not None:
-            save_checkpoint(engine, checkpoint)
-    engine.close()
+    try:
+        for partition in feed():
+            update = engine.ingest_day(
+                partition.day,
+                partition.trace,
+                whois=partition.whois,
+                redirects=partition.redirects,
+            )
+            updates.append(update)
+            critical = sum(1 for event in update.alerts if event.severity == "critical")
+            logger.info(
+                f"day {update.day}",
+                extra={
+                    "data": {
+                        "day": update.day,
+                        "campaigns": update.num_campaigns,
+                        "servers": len(update.detected_servers),
+                        "new": len(update.events_of("new_campaign")),
+                        "grown": len(update.events_of("campaign_growth")),
+                        "died": len(update.events_of("campaign_died")),
+                        "active": len(update.active),
+                        "alerts": len(update.alerts),
+                        "critical": critical,
+                        "mined_dimensions": len(update.mined_dimensions),
+                        "reused_dimensions": len(update.reused_dimensions),
+                    }
+                },
+            )
+            if checkpoint is not None:
+                save_checkpoint(engine, checkpoint)
+    finally:
+        engine.close()
 
     if not updates and start_day > 0:
         print("nothing to do: stream already past the requested days")
@@ -487,9 +490,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     # reproduce not just "a" result but the one the unsharded pipeline
     # computes (sharded == single-pass is already test-enforced; chaos
     # extends the equality through crashes, hangs and torn spills).
-    clean = SmashPipeline(config.replace(shards=1)).run(
-        dataset.trace, whois=dataset.whois, redirects=dataset.redirects
-    )
+    with SmashPipeline(config.replace(shards=1)) as pipeline:
+        clean = pipeline.run(dataset.trace, whois=dataset.whois, redirects=dataset.redirects)
     clean_digest = _result_digest(clean)
     print(f"clean run: {len(clean.campaigns)} campaigns, digest {clean_digest[:12]}")
 
@@ -510,13 +512,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
     chaos_digest = None
     failure = None
+    pipeline = SmashPipeline(config.replace(fault_plan=plan, metrics=registry))
     try:
-        chaos = SmashPipeline(config.replace(fault_plan=plan, metrics=registry)).run(
-            dataset.trace, whois=dataset.whois, redirects=dataset.redirects
-        )
+        chaos = pipeline.run(dataset.trace, whois=dataset.whois, redirects=dataset.redirects)
         chaos_digest = _result_digest(chaos)
     except ReproError as error:
         failure = f"{type(error).__name__}: {error}"
+    finally:
+        pipeline.close()
 
     identical = chaos_digest is not None and chaos_digest == clean_digest
     accounting = {
@@ -600,8 +603,9 @@ def _add_worker_flags(parser: argparse.ArgumentParser) -> None:
         choices=["serial", "pool", "subprocess"],
         default="pool",
         help="how sharded map jobs execute: on the worker pool (default), "
-        "inline (serial), or one subprocess per shard exchanging only store "
-        "paths and content digests; every dispatch kind produces "
+        "inline (serial), or in warm worker subprocesses (up to --workers, "
+        "kept for the whole command) exchanging only store paths and content "
+        "digests; every dispatch kind produces "
         "byte-identical output",
     )
     parser.add_argument(

@@ -307,10 +307,13 @@ class SmashConfig:
     #: :mod:`repro.core.dispatch`): ``"pool"`` (the default) runs them on
     #: the mine's shared ``workers``/``executor`` pool, ``"serial"``
     #: forces an inline loop in the coordinator, and ``"subprocess"``
-    #: runs one fresh interpreter per shard speaking the remote-worker
-    #: contract (store paths + partial digests only).  Like ``workers``
-    #: and ``shards``, a pure execution strategy: every dispatcher
-    #: produces byte-identical results.
+    #: runs them in warm worker interpreters speaking the remote-worker
+    #: contract (store paths + partial digests only): up to
+    #: ``min(workers, shards)`` of them, started by the first mine and
+    #: reused by the pipeline's later mines until
+    #: ``SmashPipeline.close()``.  Like ``workers`` and ``shards``, a
+    #: pure execution strategy: every dispatcher produces byte-identical
+    #: results.
     dispatch: str = "pool"
 
     #: Run the sharded mine out-of-core: shard jobs load their own day

@@ -10,9 +10,12 @@ the dispatcher's business alone:
 * :class:`PoolDispatcher` — the mine's shared
   :class:`~repro.util.parallel.JobPool` (thread or process executor),
   the PR 7 behaviour;
-* :class:`SubprocessDispatcher` — one fresh interpreter per shard,
-  driven through ``python -m repro.core.shardworker`` with the spec on
-  stdin and one JSON result line on stdout.
+* :class:`SubprocessDispatcher` — warm ``python -m
+  repro.core.shardworker`` interpreters, one JSON spec line in and one
+  JSON reply line out per job.  The first job starts a worker and later
+  jobs reuse it; a :class:`~repro.core.pipeline.SmashPipeline` keeps its
+  workers (:class:`ShardWorkers`) across mines until its ``close()``, so
+  a stream pays one interpreter start, not one per shard per day.
 
 Every dispatcher is retry-aware: each shard job runs under a
 :class:`~repro.core.faults.RetryPolicy` via
@@ -27,7 +30,11 @@ shard's error.  Failed spill bytes are quarantined with a reason file
 (:meth:`~repro.stream.store.PartialStore.quarantine`), and the retry /
 failure / reassignment accounting flows through :mod:`repro.obs`
 (``smash_shard_retries_total``, ``smash_shard_worker_failures_total``,
-``smash_shard_reassigned_total`` plus per-attempt spans).
+``smash_shard_reassigned_total`` plus per-attempt spans).  A subprocess
+worker that dies, runs past ``shard_timeout`` or replies with an error
+is ended, never reused, so each retry after one of those runs in a fresh
+interpreter; ``smash_shard_workers_started_total`` counts every start,
+first or replacement.
 
 The subprocess dispatcher is deliberately the narrowest: specs it
 receives reference inputs only by store paths and content digests
@@ -42,10 +49,15 @@ an execution strategy, like ``workers`` or ``shards``.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import select
 import subprocess
 import sys
+import tempfile
+import threading
+import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from functools import partial
 
@@ -267,19 +279,153 @@ class PoolDispatcher(ShardDispatcher):
         )
 
 
+#: Seconds :meth:`ShardWorker.close` waits for a worker to exit on its
+#: own once its stdin is closed (its atexit hooks run then) before it
+#: kills it.
+CLOSE_GRACE_S = 5.0
+
+#: Lines of a dead worker's stderr quoted in its :class:`WorkerError`.
+STDERR_TAIL_LINES = 8
+
+
+def _worker_env() -> dict[str, str]:
+    import repro
+
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = package_root if not existing else package_root + os.pathsep + existing
+    return env
+
+
+class ShardWorker:
+    """One warm ``python -m repro.core.shardworker`` interpreter.
+
+    Specs go in on stdin and replies come back on stdout, one JSON
+    object per line.  The worker's stderr goes to a private temporary
+    file rather than a pipe nobody drains, so a chatty worker can never
+    block on it; its tail explains a crash.
+    """
+
+    def __init__(self) -> None:
+        self._stderr = tempfile.TemporaryFile()
+        try:
+            self.process = subprocess.Popen(
+                [sys.executable, "-m", "repro.core.shardworker"],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=self._stderr,
+                env=_worker_env(),
+            )
+        except BaseException:
+            self._stderr.close()
+            raise
+        #: The last lines of the worker's stderr, read by :meth:`close`.
+        self.stderr_tail: list[str] = []
+
+    def call(self, spec: dict, timeout: float) -> dict | None:
+        """Send one spec and wait for its reply.
+
+        Returns the reply, or ``None`` when the interpreter died first;
+        raises :class:`TimeoutError` when no reply arrived within
+        *timeout* seconds.
+        """
+        try:
+            self.process.stdin.write(json.dumps(spec).encode() + b"\n")
+            self.process.stdin.flush()
+        except BrokenPipeError:
+            return None
+        deadline = time.monotonic() + timeout
+        fd = self.process.stdout.fileno()
+        reply = b""
+        while not reply.endswith(b"\n"):
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+                raise TimeoutError
+            chunk = os.read(fd, 1 << 16)
+            if not chunk:
+                return None
+            reply += chunk
+        return json.loads(reply)
+
+    def close(self, grace: float = CLOSE_GRACE_S) -> int:
+        """End the worker and return its exit status (idempotent).
+
+        Closing stdin asks the worker to exit normally, which runs its
+        atexit hooks; one still alive after *grace* seconds (``0``: at
+        once, for a hung worker) is killed.
+        """
+        with contextlib.suppress(OSError):
+            self.process.stdin.close()
+        try:
+            self.process.wait(timeout=grace)
+        except subprocess.TimeoutExpired:
+            self.process.kill()
+            self.process.wait()
+        self.process.stdout.close()
+        if not self._stderr.closed:
+            size = self._stderr.seek(0, os.SEEK_END)
+            self._stderr.seek(max(0, size - 8192))
+            lines = self._stderr.read().decode("utf-8", "replace").strip().splitlines()
+            self.stderr_tail = lines[-STDERR_TAIL_LINES:]
+            self._stderr.close()
+        return self.process.returncode
+
+
+class ShardWorkers:
+    """The idle warm shard workers of one owner, kept between jobs.
+
+    A :class:`~repro.core.pipeline.SmashPipeline` owns one for its whole
+    life, so every subprocess-dispatched mine it runs reuses the
+    interpreters the first one started.  Each worker is either idle here
+    or held by exactly one running attempt, which puts it back or ends
+    it.
+    """
+
+    def __init__(self) -> None:
+        self._idle: list[ShardWorker] = []
+        self._lock = threading.Lock()
+
+    def take(self) -> ShardWorker | None:
+        with self._lock:
+            return self._idle.pop() if self._idle else None
+
+    def put(self, worker: ShardWorker) -> None:
+        with self._lock:
+            self._idle.append(worker)
+
+    def close(self) -> None:
+        """End every idle worker (idempotent; later jobs start new ones).
+
+        All stdins are closed first, so the workers exit side by side.
+        """
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for worker in idle:
+            with contextlib.suppress(OSError):
+                worker.process.stdin.close()
+        for worker in idle:
+            worker.close()
+
+
 class SubprocessDispatcher(ShardDispatcher):
-    """One fresh interpreter per shard job, stdin spec / stdout result.
+    """Shard jobs in warm worker interpreters, one JSON line each way.
 
     The worker (:mod:`repro.core.shardworker`) receives nothing but the
     JSON spec: inputs are named by store paths + digests, outputs are
     spilled to the shared :class:`~repro.stream.store.PartialStore` and
-    reported back as ``(name, digest)``.  Worker-side failures come back
-    as a structured ``{"error": {...}}`` object and are re-raised here
-    under the coordinator's own exception types, so a corrupt partition
-    fails a subprocess-dispatched mine exactly like an in-process one.
-    A worker that crashes or exceeds ``policy.timeout`` raises a
-    retryable :class:`~repro.errors.WorkerError` instead, consumed by
-    the retry loop.
+    reported back as ``(name, digest)``.  Workers come from *warm*
+    (private to this dispatcher when ``None``): an attempt takes an idle
+    worker or starts one, and puts it back after a normal reply, so at most
+    ``min(workers, shards)`` run at once and a pipeline's later mines
+    start none.  Worker-side failures come back as a structured
+    ``{"error": {...}}`` reply and are re-raised here under the
+    coordinator's own exception types, so a corrupt partition fails a
+    subprocess-dispatched mine exactly like an in-process one.  A worker
+    that dies or exceeds ``policy.timeout`` raises a retryable
+    :class:`~repro.errors.WorkerError` instead, consumed by the retry
+    loop.  A worker that failed an attempt in any of these ways is ended,
+    so the retry runs in a fresh interpreter.
     """
 
     kind = "subprocess"
@@ -291,10 +437,16 @@ class SubprocessDispatcher(ShardDispatcher):
         policy: RetryPolicy | None = None,
         plan: FaultPlan | None = None,
         recorder=None,
+        warm: ShardWorkers | None = None,
     ) -> None:
         super().__init__(policy=policy, plan=plan, recorder=recorder)
         self.workers = resolve_workers(workers)
+        self._owns_warm = warm is None
+        self.warm = ShardWorkers() if warm is None else warm
         self._pool: ThreadPoolExecutor | None = None
+        # Attempts run on pool threads and the recorder is not
+        # thread-safe: they count worker starts under this lock.
+        self._count_lock = threading.Lock()
 
     def _run_outcome(self, spec: dict) -> dict:
         return run_job_outcome(spec, self.policy, self.plan, attempt_call=self._run_one)
@@ -329,45 +481,43 @@ class SubprocessDispatcher(ShardDispatcher):
                         sibling.cancel()
         return outcomes
 
-    @staticmethod
-    def _worker_env() -> dict[str, str]:
-        import repro
-
-        env = dict(os.environ)
-        package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            package_root if not existing else package_root + os.pathsep + existing
-        )
-        return env
+    def _start_worker(self) -> ShardWorker:
+        worker = ShardWorker()
+        with self._count_lock:
+            self.recorder.counter(
+                "smash_shard_workers_started_total",
+                "Shard-worker interpreters started by the subprocess dispatcher.",
+            ).inc()
+        return worker
 
     def _run_one(self, spec: dict) -> dict:
         shard = spec.get("shard")
         timeout = self.policy.timeout
+        worker = self.warm.take() or self._start_worker()
         try:
-            completed = subprocess.run(
-                [sys.executable, "-m", "repro.core.shardworker"],
-                input=json.dumps(spec),
-                capture_output=True,
-                text=True,
-                env=self._worker_env(),
-                timeout=timeout,
+            reply = worker.call(spec, timeout)
+        except BaseException as error:
+            # The worker may still be busy on this spec: kill it rather
+            # than ever reuse it.
+            worker.close(grace=0)
+            if isinstance(error, TimeoutError):
+                raise ShardTimeoutError(
+                    f"shard {shard} worker timed out after {timeout:.0f}s "
+                    "(config.shard_timeout)"
+                ) from None
+            raise
+        if reply is None:
+            # No reply: the interpreter died (crash, OOM kill, injected
+            # os._exit).  Retryable — a fresh worker on a fresh spill
+            # name sees none of this attempt's state.
+            status = worker.close()
+            raise WorkerError(
+                f"shard {shard} worker exited with {status}: "
+                + " | ".join(worker.stderr_tail)
             )
-        except subprocess.TimeoutExpired as error:
-            # subprocess.run kills the child before re-raising, so the
-            # worker is gone; surface a retryable timeout naming the
-            # shard and the configured budget instead of the raw
-            # TimeoutExpired.
-            raise ShardTimeoutError(
-                f"shard {shard} worker timed out after {timeout:.0f}s "
-                "(config.shard_timeout)"
-            ) from error
-        try:
-            result = json.loads(completed.stdout)
-        except (json.JSONDecodeError, ValueError):
-            result = None
-        if isinstance(result, dict) and "error" in result:
-            error = result["error"]
+        if "error" in reply:
+            worker.close()
+            error = reply["error"]
             kind = str(error.get("kind", ""))
             message = str(error.get("message", ""))
             retryable = bool(error.get("retryable", False))
@@ -378,21 +528,15 @@ class SubprocessDispatcher(ShardDispatcher):
                 f"shard {shard} worker failed: {kind}: {message}",
                 retryable,
             )
-        if completed.returncode != 0 or not isinstance(result, dict):
-            # No parseable reply: the interpreter died (crash, OOM kill,
-            # injected os._exit).  Retryable — a fresh worker on a fresh
-            # spill name sees none of this attempt's state.
-            tail = completed.stderr.strip().splitlines()[-8:]
-            raise WorkerError(
-                f"shard {shard} worker exited with {completed.returncode}: "
-                + " | ".join(tail)
-            )
-        return result
+        self.warm.put(worker)
+        return reply
 
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        if self._owns_warm:
+            self.warm.close()
 
 
 def make_dispatcher(
@@ -402,13 +546,15 @@ def make_dispatcher(
     policy: RetryPolicy | None = None,
     plan: FaultPlan | None = None,
     recorder=None,
+    warm: ShardWorkers | None = None,
 ) -> ShardDispatcher:
     """Build the dispatcher for a configured ``dispatch`` kind.
 
     ``"pool"`` requires the caller's :class:`JobPool`; ``"subprocess"``
-    takes a concurrent-worker budget (``0`` = one per CPU).  *policy*,
-    *plan* and *recorder* configure retries, fault injection and obs
-    accounting for any kind.
+    takes a concurrent-worker budget (``0`` = one per CPU) and the
+    caller's :class:`ShardWorkers` to reuse, if any.  *policy*, *plan*
+    and *recorder* configure retries, fault injection and obs accounting
+    for any kind.
     """
     if kind == "serial":
         return SerialDispatcher(policy=policy, plan=plan, recorder=recorder)
@@ -418,7 +564,7 @@ def make_dispatcher(
         return PoolDispatcher(pool, policy=policy, plan=plan, recorder=recorder)
     if kind == "subprocess":
         return SubprocessDispatcher(
-            workers=workers, policy=policy, plan=plan, recorder=recorder
+            workers=workers, policy=policy, plan=plan, recorder=recorder, warm=warm
         )
     raise PipelineError(
         f"unknown dispatch kind {kind!r}; expected one of {DISPATCH_KINDS}"
@@ -431,5 +577,7 @@ __all__ = [
     "SerialDispatcher",
     "PoolDispatcher",
     "SubprocessDispatcher",
+    "ShardWorker",
+    "ShardWorkers",
     "make_dispatcher",
 ]

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+import weakref
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -458,8 +459,13 @@ class MinedDimensions:
 class SmashPipeline:
     """Run SMASH over an HTTP trace.
 
-    The pipeline is stateless between ``run`` calls; all tunables live in
-    the :class:`~repro.config.SmashConfig` given at construction.
+    Results do not depend on earlier ``run`` calls; all tunables live in
+    the :class:`~repro.config.SmashConfig` given at construction.  The
+    one thing a pipeline keeps between mines is its warm subprocess
+    shard workers (``dispatch="subprocess"``): the first mine that needs
+    them starts them, and they live until :meth:`close` (or ``with``
+    block exit).  A pipeline nobody closed reaps them when it is
+    garbage-collected or the interpreter exits.
     """
 
     def __init__(self, config: SmashConfig | None = None) -> None:
@@ -469,6 +475,36 @@ class SmashPipeline:
         #: no-op :data:`~repro.obs.NULL_RECORDER` unless the config
         #: carries a live :class:`~repro.obs.MetricsRegistry`.
         self.metrics = self.config.metrics or NULL_RECORDER
+        self._shard_workers = None
+
+    @property
+    def shard_workers(self):
+        """The idle subprocess shard workers every mine reuses.
+
+        A :class:`~repro.core.dispatch.ShardWorkers`, made by the first
+        sharded mine, so building a pipeline imports and starts nothing.
+        """
+        if self._shard_workers is None:
+            from repro.core.dispatch import ShardWorkers
+
+            self._shard_workers = ShardWorkers()
+            weakref.finalize(self, self._shard_workers.close)
+        return self._shard_workers
+
+    def close(self) -> None:
+        """End the warm shard workers (idempotent).
+
+        The pipeline stays usable: a later subprocess-dispatched mine
+        starts new workers.
+        """
+        if self._shard_workers is not None:
+            self._shard_workers.close()
+
+    def __enter__(self) -> "SmashPipeline":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
     # -- stage 1+2: preprocess and mine --------------------------------------------
 

@@ -78,8 +78,9 @@ remaining places the coordinator held raw requests:
 **Dispatch seam.**  How map jobs execute is delegated to a
 :class:`~repro.core.dispatch.ShardDispatcher` (``SmashConfig.dispatch``):
 inline on the shared pool (the default), serially in the coordinator, or
-one subprocess per shard speaking the store-paths + digests contract a
-remote worker would use.  Reduce, pair accumulation and Louvain always
+in warm worker subprocesses speaking the store-paths + digests contract a
+remote worker would use (the pipeline's ``shard_workers``, reused across
+its mines).  Reduce, pair accumulation and Louvain always
 run on the coordinator's pool; dispatch only moves the map phase.
 """
 
@@ -894,6 +895,7 @@ def mine_sharded(
         policy=RetryPolicy.from_config(config),
         plan=config.fault_plan,
         recorder=recorder,
+        warm=pipeline.shard_workers,
     )
     try:
         # -- phase A + reduce: sharded preprocess ---------------------------------

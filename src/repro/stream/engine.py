@@ -463,7 +463,10 @@ class StreamingSmash:
         return self.pipeline.finish(self._mined[1], combined_redirects, thresh=thresh)
 
     def close(self) -> None:
-        """Close every sink; one failing sink never skips the rest."""
+        """Close every sink and end the pipeline's warm shard workers.
+
+        One failing sink never skips the rest, nor the workers.
+        """
         first_error: BaseException | None = None
         for sink in self.sinks:
             try:
@@ -471,6 +474,7 @@ class StreamingSmash:
             except Exception as error:  # noqa: BLE001 - sinks are third-party code
                 if first_error is None:
                     first_error = error
+        self.pipeline.close()
         if first_error is not None:
             raise first_error
 

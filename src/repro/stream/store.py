@@ -232,8 +232,9 @@ class TraceStore:
         try:
             write_jsonl(partition.trace, tmp / _TRACE_NAME)
             if partition.whois is not None:
+                # Compact: an indent would force json's pure-Python encoder.
                 (tmp / _WHOIS_NAME).write_text(
-                    json.dumps(whois_to_list(partition.whois), indent=1) + "\n"
+                    json.dumps(whois_to_list(partition.whois), separators=(",", ":")) + "\n"
                 )
             if partition.redirects is not None:
                 (tmp / _REDIRECTS_NAME).write_text(

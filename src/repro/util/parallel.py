@@ -41,8 +41,9 @@ EXECUTOR_KINDS = ("serial", "thread", "process")
 #: The accepted shard-dispatcher kinds for the sharded mine's map phase
 #: (see :mod:`repro.core.dispatch`): ``"serial"`` runs shard jobs inline
 #: in the coordinator, ``"pool"`` fans them out on the mine's
-#: :class:`JobPool`, and ``"subprocess"`` runs one fresh interpreter per
-#: shard that talks only in store paths + partial digests.  Lives here
+#: :class:`JobPool`, and ``"subprocess"`` runs them in warm worker
+#: interpreters, kept across a pipeline's mines, that talk only in store
+#: paths + partial digests.  Lives here
 #: (not in :mod:`repro.core.dispatch`) so :mod:`repro.config` can
 #: validate the field without importing the core.
 DISPATCH_KINDS = ("serial", "pool", "subprocess")

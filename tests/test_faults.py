@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import signal
 import subprocess
 import sys
 
@@ -366,22 +367,56 @@ class TestDispatcherRun:
         results = _FakeBatchDispatcher(outcomes).run([{"shard": 0}, {"shard": 1}])
         assert [r["shard"] for r in results] == [0, 1]
 
-    def test_timeout_expired_translates_to_shard_timeout_error(self, monkeypatch):
-        # Satellite fix: raw subprocess.TimeoutExpired must never leak;
-        # the error names the shard and the configured budget, and is
-        # retryable (a PipelineError subclass).
+    def test_timeout_expired_translates_to_shard_timeout_error(
+        self, monkeypatch, dataset, tmp_path
+    ):
+        # A real worker held past the policy's timeout by a `hang` fault:
+        # the error names the shard and the configured budget and is
+        # retryable (a PipelineError subclass), the hung interpreter is
+        # killed, and the next job runs in a new one.
         import repro.core.dispatch as dispatch_module
 
-        def hang_forever(*args, **kwargs):
-            raise subprocess.TimeoutExpired(cmd="worker", timeout=kwargs["timeout"])
+        started: list[subprocess.Popen] = []
+        popen = subprocess.Popen
 
-        monkeypatch.setattr(dispatch_module.subprocess, "run", hang_forever)
-        dispatcher = SubprocessDispatcher(workers=1, policy=RetryPolicy(timeout=7.0))
+        def recording_popen(*args, **kwargs):
+            started.append(popen(*args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(dispatch_module.subprocess, "Popen", recording_popen)
+        spill = PartialStore(tmp_path / "spill")
+        digest, _ = spill.put("input-0000", {"columns": dataset.trace.columns})
+        job = {
+            "shard": 9,
+            "aggregate": True,
+            "want_patterns": False,
+            "want_windows": False,
+            "want_referrers": False,
+            "window_seconds": 600.0,
+            "spill_root": str(spill.root),
+            "source": {
+                "kind": "spill",
+                "root": str(spill.root),
+                "name": "input-0000",
+                "digest": digest,
+                "trace_name": "t",
+            },
+        }
+        hang = {"shard": 9, "kind": "hang", "seconds": 60.0}
+        dispatcher = SubprocessDispatcher(workers=1, policy=RetryPolicy(timeout=1.0))
         try:
-            with pytest.raises(ShardTimeoutError, match=r"shard 9 .*7s.*shard_timeout"):
-                dispatcher._run_one({"shard": 9})
+            with pytest.raises(ShardTimeoutError, match=r"shard 9 .*1s.*shard_timeout"):
+                dispatcher._run_one({**job, "fault": hang})
+            assert len(started) == 1
+            assert started[0].returncode == -signal.SIGKILL
+            with pytest.raises(ProcessLookupError):
+                os.kill(started[0].pid, 0)
+            result = dispatcher._run_one(job)
+            assert len(started) == 2
+            spill.verify(result["name"], result["digest"])
         finally:
             dispatcher.close()
+        assert started[1].returncode == 0
         assert issubclass(ShardTimeoutError, PipelineError)
 
     def test_subprocess_ctor_backwards_compatible(self):

@@ -59,6 +59,20 @@ class TestTraceStore:
         assert loaded.redirects.landing_server("a.com") == "land.com"
         assert partition_digest(loaded) == ref.digest
 
+    def test_whois_sidecar_is_compact_and_old_indented_layout_loads(self, tmp_path):
+        store = TraceStore(tmp_path)
+        original = rich_partition()
+        ref = store.put(original)
+        sidecar = next(tmp_path.glob("day-*")) / "whois.json"
+        records = json.loads(sidecar.read_text())
+        assert sidecar.read_text() == json.dumps(records, separators=(",", ":")) + "\n"
+        # Partitions written with the earlier indented sidecar carry the
+        # same digest: it covers the parsed records, not the file layout.
+        sidecar.write_text(json.dumps(records, indent=1) + "\n")
+        loaded = store.get(3, digest=ref.digest)
+        assert loaded.whois.lookup("a.com").registrant == "r"
+        assert partition_digest(loaded) == ref.digest
+
     def test_put_is_idempotent(self, tmp_path):
         store = TraceStore(tmp_path)
         first = store.put(rich_partition())
