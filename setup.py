@@ -20,11 +20,15 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    # The compiled Louvain kernel ships as C source; repro.graph._kernel
+    # builds it with the system C compiler on first use.
+    package_data={"repro.graph": ["_louvain_kernel.c"]},
     python_requires=">=3.10",
     extras_require={
-        # The CSR graph fast path (repro.graph.csr) auto-engages when
-        # numpy is importable and produces byte-identical output either
-        # way; the core stays dependency-free.
+        # The CSR graph fast path (repro.graph.csr) and with it the
+        # compiled Louvain kernel auto-engage when numpy is importable and
+        # produce byte-identical output either way; the core stays
+        # dependency-free.
         "fast": ["numpy>=1.24"],
     },
     entry_points={

@@ -41,7 +41,7 @@ from repro.errors import PipelineError
 from repro.httplog.records import HttpRequest
 from repro.graph.louvain import LouvainResult
 from repro.graph.modularity import modularity
-from repro.graph.wgraph import WeightedGraph, canonical_nodes
+from repro.graph.wgraph import WeightedGraph, canonical_nodes, sum_in_order
 from repro.httplog.trace import HttpTrace
 from repro.synth.oracles import RedirectOracle
 from repro.util.rng import make_rng
@@ -63,11 +63,14 @@ class _LegacyLevel:
         self.adjacency = adjacency
         self.loops = loops
         self.n = len(adjacency)
+        # Left-to-right float sums, as the current core keeps them, so the
+        # oracle agrees with it on interpreters whose sum() compensates.
         self.degree = [
-            sum(neigh.values()) + 2.0 * loops[i] for i, neigh in enumerate(adjacency)
+            sum_in_order(neigh.values()) + 2.0 * loops[i] for i, neigh in enumerate(adjacency)
         ]
         self.total_weight = (
-            sum(sum(neigh.values()) for neigh in adjacency) / 2.0 + sum(loops)
+            sum_in_order(sum_in_order(neigh.values()) for neigh in adjacency) / 2.0
+            + sum_in_order(loops)
         )
         self.community = list(range(self.n))
         self.community_degree = list(self.degree)

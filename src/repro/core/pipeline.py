@@ -354,6 +354,7 @@ def _append_single_client_herds(
         louvain_levels=main.louvain_levels,
         louvain_moves=main.louvain_moves,
         louvain_sweeps=main.louvain_sweeps,
+        louvain_kernel=main.louvain_kernel,
     )
 
 
@@ -401,6 +402,7 @@ def _record_dimension(recorder, dimension: str, outcome, seconds: float) -> None
     attributes["louvain_runs"] = outcome.louvain_runs
     attributes["louvain_levels"] = outcome.louvain_levels
     attributes["louvain_moves"] = outcome.louvain_moves
+    attributes["louvain_kernel"] = outcome.louvain_kernel
     recorder.record_span("pipeline.mine.dimension", seconds, attributes)
     recorder.histogram(
         "smash_dimension_build_seconds",

@@ -1,0 +1,114 @@
+"""Build and load the compiled Louvain kernel (``_louvain_kernel.c``).
+
+:mod:`repro.graph.louvain` imports this module on its first run over a
+CSR graph, never at ``import repro``.  The first :func:`load` compiles
+the C source with the system C compiler (``cc``, else ``gcc``) into
+this package's ``__pycache__/``, under a name keyed by a hash of the
+source, the flags and the compiler, then loads it through ctypes; later
+calls and later processes reuse that file.  The compiler writes to a
+unique temporary name that ``os.replace`` then moves into place, so
+processes racing on a fresh checkout (test subprocesses, shard workers)
+each load a complete library.
+
+When the compiler is missing or the build or load fails, :func:`load`
+logs one warning and returns ``None`` for the rest of the process;
+Louvain then runs the pure-Python reference, whose output is identical.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import logging
+import os
+import platform
+import shutil
+import subprocess
+import threading
+from pathlib import Path
+
+_LOGGER = logging.getLogger("repro.graph.kernel")
+
+SOURCE = Path(__file__).with_name("_louvain_kernel.c")
+
+#: ``-ffp-contract=off`` keeps every multiply and add separately rounded,
+#: as in Python; ``-ffast-math`` must never be added (it reassociates).
+FLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-shared", "-fPIC")
+
+_BUILD_TIMEOUT_S = 120.0
+
+_lock = threading.Lock()
+#: Empty until the first :func:`load`; then holds its one outcome.
+_loaded: list = []
+
+
+class KernelUnavailable(Exception):
+    """The kernel could not be compiled or loaded."""
+
+
+def _library_path(compiler: str) -> Path:
+    """Where the library built from the current source by *compiler* lives."""
+    digest = hashlib.sha256(SOURCE.read_bytes())
+    digest.update("\0".join((*FLAGS, compiler, platform.machine())).encode())
+    return SOURCE.parent / "__pycache__" / f"{SOURCE.stem}.{digest.hexdigest()[:16]}.so"
+
+
+def _build(compiler: str, target: Path) -> None:
+    target.parent.mkdir(exist_ok=True)
+    temporary = target.with_name(f"{target.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        completed = subprocess.run(
+            [compiler, *FLAGS, "-o", str(temporary), str(SOURCE)],
+            capture_output=True,
+            text=True,
+            timeout=_BUILD_TIMEOUT_S,
+        )
+        if completed.returncode != 0:
+            raise KernelUnavailable(
+                f"{compiler} exited with {completed.returncode}: "
+                f"{completed.stderr.strip()[-400:]}"
+            )
+        os.replace(temporary, target)
+    finally:
+        temporary.unlink(missing_ok=True)
+
+
+def _open(path: Path):
+    import ctypes
+
+    library = ctypes.CDLL(str(path))
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    library.louvain_init_level.restype = f64
+    library.louvain_init_level.argtypes = (i64, ptr, ptr, ptr, ptr, ptr, ptr)
+    library.louvain_sweep.restype = i64
+    library.louvain_sweep.argtypes = (i64,) + (ptr,) * 7 + (f64, f64, f64) + (ptr,) * 3
+    library.louvain_aggregate.restype = i64
+    library.louvain_aggregate.argtypes = (i64,) + (ptr,) * 5 + (i64,) + (ptr,) * 11
+    return library
+
+
+def _build_and_open():
+    compiler = shutil.which("cc") or shutil.which("gcc")
+    if compiler is None:
+        raise KernelUnavailable("no C compiler (cc or gcc) on PATH")
+    target = _library_path(compiler)
+    if not target.is_file():
+        _build(compiler, target)
+    return _open(target)
+
+
+def load():
+    """The kernel's ctypes library, or ``None`` if it cannot be had."""
+    if not _loaded:
+        with _lock:
+            if not _loaded:
+                try:
+                    library = _build_and_open()
+                except (KernelUnavailable, OSError, subprocess.SubprocessError) as exc:
+                    _LOGGER.warning(
+                        "compiled Louvain kernel unavailable, running the "
+                        "pure-Python reference: %s",
+                        exc,
+                    )
+                    library = None
+                _loaded.append(library)
+    return _loaded[0]

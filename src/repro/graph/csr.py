@@ -7,9 +7,9 @@ dimension graph as three numpy arrays — ``indptr``/``indices``/
 (same methods, same float accumulation orders, byte-identical pipeline
 output) while giving the hot consumers contiguous neighbor slices:
 
-* Louvain's local-move phase computes per-node gains with
-  bincount/segment sums over the slices (``csr_view`` hands the arrays
-  over directly);
+* Louvain runs both of its phases in the compiled kernel
+  (``repro.graph._louvain_kernel.c``) over the arrays ``csr_view``
+  hands over;
 * modularity becomes masked segment sums over the edge arrays;
 * ``subgraph`` extracts refinement communities with vectorised row
   gathers, returning another ``CsrGraph``.
@@ -19,8 +19,9 @@ Byte-identity with the dict backend is an invariant, not an accident:
 (exactly the dict-accumulation order), elementwise float64 arithmetic is
 bit-identical to python scalar arithmetic, and every order-sensitive
 reduction (total weight, modularity Q) stays a sequential python-float
-sum.  Pairwise reductions (``np.sum``, ``np.add.reduceat``) are never
-used on weights.
+sum (:func:`~repro.graph.wgraph.sum_in_order`, never ``sum()``, which
+compensates since Python 3.12).  Pairwise reductions (``np.sum``,
+``np.add.reduceat``) are never used on weights.
 
 Construction mirrors the builders' contract (sorted labels, then one
 bulk load of ascending ``iu < iv`` edges); the arrays are frozen after
@@ -40,7 +41,7 @@ from bisect import bisect_left
 from collections.abc import Hashable, Iterable, Iterator
 
 from repro.errors import GraphError
-from repro.graph.wgraph import WeightedGraph, node_sort_key
+from repro.graph.wgraph import WeightedGraph, node_sort_key, sum_in_order
 
 try:  # pragma: no cover - exercised via both CI paths
     import numpy as np
@@ -84,8 +85,8 @@ def new_graph(
 class CsrView:
     """The frozen CSR arrays of a pure-base canonical graph.
 
-    Handed to Louvain's vectorised entry level by :meth:`CsrGraph.csr_view`;
-    all fields are live internals and must not be mutated.
+    Handed to Louvain's compiled kernel by :meth:`CsrGraph.csr_view`; all
+    fields are live internals and must not be mutated.
     """
 
     __slots__ = ("labels", "indptr", "indices", "weights")
@@ -236,15 +237,8 @@ class CsrGraph:
 
     def _accumulate_total(self, ws: list[float]) -> None:
         # Sequential accumulation, exactly the dict backend's
-        # ``total += weight`` loop.  sum() starts from exact 0, so the
-        # fast path is bit-identical when nothing was accumulated yet.
-        if self._total_weight == 0.0:
-            self._total_weight = float(sum(ws))
-        else:
-            total = self._total_weight
-            for weight in ws:
-                total += weight
-            self._total_weight = total
+        # ``total += weight`` loop.
+        self._total_weight = sum_in_order(ws, self._total_weight)
         for weight in ws:
             if weight <= 0.0:
                 self._has_nonpositive = True
@@ -407,9 +401,9 @@ class CsrGraph:
 
         Rows are materialised with ``dict(zip(...))`` over the list
         mirrors — C-speed, ascending-column by construction, so the
-        existing scalar local-move consumes them exactly as it consumes
-        the dict backend's rows.  Louvain prefers :meth:`csr_view` when
-        the degree distribution makes the vector path worthwhile.
+        pure-Python reference consumes them exactly as it consumes the
+        dict backend's rows.  Louvain reads :meth:`csr_view` instead
+        whenever the compiled kernel is available.
         """
         if self.csr_view() is None:
             return None
@@ -421,11 +415,14 @@ class CsrGraph:
         return self._labels, adjacency
 
     def csr_view(self) -> CsrView | None:
-        """The frozen arrays, when Louvain may consume them directly.
+        """The frozen arrays, when Louvain's compiled kernel may run on them.
 
         Same contract as ``WeightedGraph.louvain_view``: non-``None``
         iff the graph is canonical, loop-free, all-positive — and, for
-        this backend, unmutated since construction.
+        this backend, unmutated since construction.  The kernel reads
+        ``indptr``/``indices`` as int64 and ``weights`` as float64, in
+        place, as its entry level; a ``None`` here sends the graph to
+        the pure-Python reference.
         """
         self._finalize()
         if (
@@ -522,7 +519,7 @@ class CsrGraph:
         if index is None:
             raise GraphError(f"node not in graph: {node!r}")
         row = self._merged_row(index)
-        return sum(row.values()) + row.get(index, 0.0)
+        return sum_in_order(row.values()) + row.get(index, 0.0)
 
     @property
     def total_weight(self) -> float:
@@ -577,8 +574,7 @@ class CsrGraph:
         np.cumsum(np.bincount(rows_f, minlength=k), out=sub_indptr[1:])
         # Total weight: the dict backend adds each edge at its first
         # encounter — upper-triangle entries in row-major order.
-        upper = w_f[cols_f > rows_f]
-        total_weight = float(sum(upper.tolist()))
+        total_weight = sum_in_order(w_f[cols_f > rows_f].tolist())
         return CsrGraph._from_arrays(labels, sub_indptr, cols_f, w_f, total_weight)
 
     def _subgraph_generic(self, ordered: list[int]) -> WeightedGraph:
@@ -714,7 +710,7 @@ class CsrGraph:
         for index in range(len(labels)):
             community = communities[index]
             row = self._merged_row(index)
-            contribution = sum(row.values()) + row.get(index, 0.0)
+            contribution = sum_in_order(row.values()) + row.get(index, 0.0)
             degree_sum[community] = degree_sum.get(community, 0.0) + contribution
             for neighbor, weight in row.items():
                 if communities[neighbor] == community:

@@ -16,7 +16,7 @@ from collections import defaultdict
 from collections.abc import Hashable, Mapping
 
 from repro.errors import GraphError
-from repro.graph.wgraph import WeightedGraph
+from repro.graph.wgraph import WeightedGraph, sum_in_order
 
 Node = Hashable
 
@@ -56,7 +56,7 @@ def modularity(graph: WeightedGraph, partition: Mapping[Node, int]) -> float:
     for index in range(len(labels)):
         community = communities[index]
         row = adjacency[index]
-        degree_sum[community] += sum(row.values()) + row.get(index, 0.0)
+        degree_sum[community] += sum_in_order(row.values()) + row.get(index, 0.0)
         for neighbor, weight in row.items():
             if communities[neighbor] == community:
                 if neighbor == index:

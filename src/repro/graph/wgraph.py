@@ -24,10 +24,24 @@ outputs stay byte-identical.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator
+from functools import reduce
+from operator import add
 
 from repro.errors import GraphError
 
 Node = Hashable
+
+
+def sum_in_order(values: Iterable[float], start: float = 0.0) -> float:
+    """Left-to-right float sum: ``total += value`` from *start*, in order.
+
+    Every float sum in :mod:`repro.graph` goes through here.  Since
+    Python 3.12, ``sum()`` of floats is compensated (Neumaier), so it can
+    disagree in the last bit with the running ``+=`` totals the graph
+    backends and the compiled Louvain kernel keep, and results would
+    depend on the interpreter version.
+    """
+    return reduce(add, values, start)
 
 
 def node_sort_key(node: Node) -> str:
@@ -310,7 +324,7 @@ class WeightedGraph:
         if index is None:
             raise GraphError(f"node not in graph: {node!r}")
         row = self._adj[index]
-        return sum(row.values()) + row.get(index, 0.0)
+        return sum_in_order(row.values()) + row.get(index, 0.0)
 
     @property
     def total_weight(self) -> float:
