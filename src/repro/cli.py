@@ -594,9 +594,10 @@ def _add_worker_flags(parser: argparse.ArgumentParser) -> None:
         "--shards",
         type=int,
         default=1,
-        help="shard the mine into N map-reduce partitions with spill-to-store "
-        "partials (default 1 = single pass); every shard count produces "
-        "byte-identical output",
+        help="mine an in-memory trace as a map-reduce over N slices with "
+        "spill-to-store partials (default 1 = single pass); --out-of-core "
+        "streams instead map each stored day once; every shard count "
+        "produces byte-identical output",
     )
     parser.add_argument(
         "--dispatch",

@@ -293,11 +293,14 @@ class SmashConfig:
 
     #: Shard count for the map-reduce mine path
     #: (:mod:`repro.core.shardmine`).  ``1`` (the default) mines in one
-    #: pass; ``N > 1`` splits the trace into N contiguous shards
-    #: (day-partition-aligned under the streaming engine), extracts
-    #: per-shard index partials with spill-to-store, and runs
-    #: partition-parallel pair counting on the ``workers``/``executor``
-    #: pool.  Sharding is an execution strategy, not a semantic knob:
+    #: pass; ``N > 1`` splits a trace given in memory into N contiguous
+    #: slices (day-partition-aligned under the streaming engine),
+    #: extracts per-slice index partials with spill-to-store, and merges
+    #: them (pair counting fans out only when the ``workers``/
+    #: ``executor`` pool runs jobs side by side).  An out-of-core,
+    #: store-direct mine ignores it: its map unit is the day partition,
+    #: each mapped once and kept in the store.  Sharding is an execution
+    #: strategy, not a semantic knob:
     #: every shard count produces byte-identical results, so (like
     #: ``workers``) the field is top-level and excluded from the
     #: incremental-mining content signatures.
@@ -308,21 +311,22 @@ class SmashConfig:
     #: the mine's shared ``workers``/``executor`` pool, ``"serial"``
     #: forces an inline loop in the coordinator, and ``"subprocess"``
     #: runs them in warm worker interpreters speaking the remote-worker
-    #: contract (store paths + partial digests only): up to
-    #: ``min(workers, shards)`` of them, started by the first mine and
+    #: contract (store paths + partial digests only): up to ``workers``
+    #: of them (no more than a batch has jobs), started by the first mine and
     #: reused by the pipeline's later mines until
     #: ``SmashPipeline.close()``.  Like ``workers`` and ``shards``, a
     #: pure execution strategy: every dispatcher produces byte-identical
     #: results.
     dispatch: str = "pool"
 
-    #: Run the sharded mine out-of-core: shard jobs load their own day
-    #: partitions from the :class:`~repro.stream.store.TraceStore` and
-    #: the reduce streams spilled index partials into per-dimension
-    #: graphs without ever assembling the full prepared trace in the
-    #: coordinator.  Byte-identical to the in-memory path; only peak
-    #: coordinator RSS changes.  Requires a trace store on the streaming
-    #: path (``smash stream --store``).
+    #: Run the sharded mine out-of-core: map jobs load their own day
+    #: partitions from the :class:`~repro.stream.store.TraceStore` (one
+    #: job per day the store holds no map output for; outputs are kept
+    #: in the store and reused by later windows) and the reduce streams
+    #: the index partials into per-dimension graphs without ever
+    #: assembling the full prepared trace in the coordinator.
+    #: Byte-identical to the in-memory path.  Requires a trace store on
+    #: the streaming path (``smash stream --store``).
     out_of_core: bool = False
 
     #: Default for the streaming engine's per-dimension mining cache: on

@@ -111,8 +111,12 @@ class ShardDispatcher:
         A shard whose retry budget is exhausted by retryable failures is
         re-run inline (fault-free) in the coordinator; a non-retryable
         failure aborts the batch.  When several shards fail fatally the
-        lowest shard number's error is raised, deterministically.
+        lowest shard number's error is raised, deterministically.  An
+        empty batch (every window partition already mapped) runs and
+        starts nothing.
         """
+        if not specs:
+            return []
         outcomes = self._run_batch(specs)
         results: list[dict] = []
         fatal: list[tuple[int, Exception]] = []
@@ -417,8 +421,8 @@ class SubprocessDispatcher(ShardDispatcher):
     reported back as ``(name, digest)``.  Workers come from *warm*
     (private to this dispatcher when ``None``): an attempt takes an idle
     worker or starts one, and puts it back after a normal reply, so at most
-    ``min(workers, shards)`` run at once and a pipeline's later mines
-    start none.  Worker-side failures come back as a structured
+    ``workers`` (never more than the batch has jobs) run at once and a
+    pipeline's later mines start none.  Worker-side failures come back as a structured
     ``{"error": {...}}`` reply and are re-raised here under the
     coordinator's own exception types, so a corrupt partition fails a
     subprocess-dispatched mine exactly like an in-process one.  A worker

@@ -7,35 +7,38 @@ size.  This module rebuilds the mine path as a deterministic two-level
 map-reduce whose peak mining state is bounded by shard size plus merge
 state:
 
-**Map (phase A — index extraction).**  The trace is cut into contiguous
-shards (day-partition-aligned when the streaming window provides
-boundaries).  Each shard job reads its slice of the trace's columns,
+**Map (phase A — index extraction).**  A trace given in memory is cut
+into ``shards`` contiguous slices (day-partition-aligned when the
+streaming window provides boundaries); a store-direct mine maps each
+window partition on its own.  Each map job reads its input's columns,
 applying the same SLD aggregation as :func:`~repro.core.preprocess.preprocess`,
 and emits inverted-index partials (clients / IPs / URI files / optional
 parameter patterns and time windows, per server) keyed by the
 **namespace-stable** ids of :class:`~repro.core.interning.StableInterner`
-— a pure content hash of the server label, so shard workers agree on
+— a pure content hash of the server label, so map workers agree on
 every id with no global pass and no coordination.  Partials are spilled
 to a digest-verified :class:`~repro.stream.store.PartialStore`
 immediately, so even a serial map phase never holds more than one
-shard's indexes.
+job's indexes.
 
 **Reduce (merge).**  Partials are merged one at a time in canonical
-shard order: vocabularies union with collision detection, index sets
-union, request counts add.  The IDF/min-clients filter runs on the
-merged client sets, the :class:`~repro.core.preprocess.PreprocessReport`
-falls out of the merged accounting, and the preprocessed trace is
-assembled exactly as ``preprocess()`` builds it — with the merged
-indexes injected into its cache slots, so no downstream consumer
-re-scans the window to rebuild what the shards already extracted.
-After the merge the surviving namespace is re-keyed once into the dense
-canonical :class:`~repro.core.interning.Interner` order (a
-namespace-sized pass, not a trace pass); everything downstream runs in
-exactly the id domain the single-shard mine uses.
+order (slice order, or day order): vocabularies union with collision
+detection, index sets union, request counts add.  The IDF/min-clients
+filter runs on the merged client sets, the
+:class:`~repro.core.preprocess.PreprocessReport` falls out of the merged
+accounting, and the preprocessed trace is assembled exactly as
+``preprocess()`` builds it — with the merged indexes injected into its
+cache slots, so no downstream consumer re-scans the window to rebuild
+what the map jobs already extracted.  After the merge the surviving
+namespace is re-keyed once into the dense canonical
+:class:`~repro.core.interning.Interner` order (a namespace-sized pass,
+not a trace pass); everything downstream runs in exactly the id domain
+the single-shard mine uses.
 
-**Map (phase C — pair partials).**  Candidate-pair accumulation — the
-quadratic heart of every dimension — runs partition-parallel: each
-dimension's sharing groups are hash-partitioned into buckets by group
+**Map (phase C — pair partials).**  On a pool that runs jobs
+concurrently, candidate-pair accumulation — the quadratic heart of
+every dimension — runs partition-parallel: each dimension's sharing
+groups are hash-partitioned into one bucket per pool worker by group
 content, each bucket becomes an
 :func:`~repro.core.interning.accumulate_pair_counts` job on the shared
 :class:`~repro.util.parallel.JobPool`, and the per-bucket counters are
@@ -43,8 +46,10 @@ spilled and merged in bucket order.  Because every group lands in
 exactly one bucket and counter addition is commutative, the merged
 counts — and therefore the built graphs, the Louvain herds, and the
 final campaigns — are **byte-identical to the single-shard mine under
-any ``PYTHONHASHSEED``** (test-enforced in subprocesses).  Louvain then
-fans out per dimension on the same pool.
+any ``PYTHONHASHSEED``** (test-enforced in subprocesses).  A pool that
+runs one job at a time gains nothing from buckets, so there the
+builders count pairs in-process, unspilled, exactly as the single pass
+does.  Louvain then fans out per dimension on the same pool.
 
 The splice point is :meth:`SmashPipeline.mine(shards=N)
 <repro.core.pipeline.SmashPipeline.mine>` /
@@ -57,21 +62,31 @@ and single-shard mines hit the same cache entries).
 is given partition references instead of a trace) removes the two
 remaining places the coordinator held raw requests:
 
-* **Store-direct map jobs.**  Each shard job is a small JSON *spec*
-  naming its inputs by ``(day, digest)`` partition references into the
+* **Store-direct map jobs, each day mapped once.**  The day partition
+  is the unit of map work.  A map job is a small JSON *spec* naming one
+  ``(day, digest)`` partition reference into the
   :class:`~repro.stream.store.TraceStore`; the worker loads (and digest-
-  verifies) its own day partitions, extracts, spills, and reports back
-  nothing but the partial's ``(name, digest)``.  Shard cuts fall on day
-  boundaries exactly like the in-memory boundary split
-  (:func:`_segment_groups` mirrors :func:`shard_ranges`), so the
-  per-shard request slices — and therefore the spilled partials — are
-  byte-identical to the in-memory path's.
+  verifies) that partition, extracts, spills, and reports back nothing
+  but the partial's ``(name, digest)``.  Once the retry loop has
+  verified the spill, the coordinator moves it into the store's
+  :class:`~repro.stream.store.MapOutputStore`, keyed by the partition
+  digest and the extraction settings (:func:`map_output_key`), with
+  the sha256 of its bytes in its name.  A partition whose output is
+  already there is not mapped again: a window advance maps only the
+  entering day, and a stream resumed from a checkpoint maps only the
+  days it never mapped — the per-split reuse of Slider (Bhatotia et
+  al., *Slider: Incremental Sliding Window Analytics*, Middleware
+  2014), merged linearly because windows are short.  A stored output
+  that fails its digest check is quarantined and the day re-mapped.
+  The payload holds nothing but what the partition and the extraction
+  settings determine, so its bytes are the same whichever window
+  position, mine or process mapped it.
 * **Hollow reduce.**  The merge builds an :class:`IndexOnlyTrace` — the
   prepared trace's indexes and scalars without its requests.  Reduce-side
   consumers that genuinely need window-wide request facts get them from
   small per-shard summaries instead: request counts ride in the partials
   and the dominant-referrer map (the one ``finish``-stage request scan)
-  is folded from per-shard referrer counters and pre-seeded into
+  is folded from per-partition referrer counters and pre-seeded into
   ``MinedDimensions.stage_cache``.  Any code path that would actually
   touch raw requests on the hollow trace raises loudly.
 
@@ -87,6 +102,7 @@ run on the coordinator's pool; dispatch only moves the map phase.
 from __future__ import annotations
 
 import hashlib
+import json
 import tempfile
 import time
 
@@ -122,12 +138,27 @@ from repro.stream.store import PartialStore, TraceStore
 from repro.util.parallel import JobPool
 
 __all__ = [
+    "MAP_FORMAT",
     "mine_sharded",
+    "map_output_key",
     "run_shard_job",
     "IndexOnlyTrace",
     "ShardedAccumulator",
     "shard_ranges",
 ]
+
+#: Version of the map-output payload :func:`run_shard_job` writes; part
+#: of every stored output's key, so a change here never reads old bytes.
+MAP_FORMAT = 1
+
+#: The spec fields a map output depends on, besides its partition.
+EXTRACTION_FIELDS = (
+    "aggregate",
+    "want_patterns",
+    "want_windows",
+    "want_referrers",
+    "window_seconds",
+)
 
 
 # -- shard planning -----------------------------------------------------------------
@@ -168,72 +199,46 @@ def shard_ranges(
     ]
 
 
-def _segment_groups(
-    boundaries: tuple[int, ...], shards: int
-) -> list[tuple[int, int]]:
-    """Partition-index spans ``[first, last)`` mirroring :func:`shard_ranges`.
+def map_output_key(day: int, digest: str, extraction: dict) -> str:
+    """Store key of one partition's map output under *extraction*.
 
-    For the store-direct map phase: group *g* of the boundary-aligned
-    split covers exactly ``partitions[first:last]``, so loading and
-    concatenating those day partitions reproduces the in-memory shard's
-    request slice byte for byte.  Same group arithmetic (and the same
-    empty-group skipping) as the boundary path of :func:`shard_ranges`,
-    so the group count — and hence shard numbering — matches too.
+    A hash of the partition digest, the :data:`EXTRACTION_FIELDS` of
+    *extraction* and :data:`MAP_FORMAT`, prefixed by the day for the
+    reader of a store listing: outputs made under different settings
+    never share a key.
     """
-    total = sum(boundaries)
-    if total <= 0:
-        return []
-    shards = max(1, min(shards, total))
-    segments = len(boundaries)
-    groups = min(shards, segments)
-    offsets = [0]
-    for length in boundaries:
-        offsets.append(offsets[-1] + length)
-    spans: list[tuple[int, int]] = []
-    for group in range(groups):
-        first = group * segments // groups
-        last = (group + 1) * segments // groups
-        if offsets[first] < offsets[last]:
-            spans.append((first, last))
-    return spans
+    document = json.dumps(
+        {
+            "format": MAP_FORMAT,
+            "partition": digest,
+            **{name: extraction[name] for name in EXTRACTION_FIELDS},
+        },
+        sort_keys=True,
+    )
+    return f"day-{day:05d}-{hashlib.sha256(document.encode('utf-8')).hexdigest()[:32]}"
 
 
-# -- phase A: per-shard index extraction --------------------------------------------
+# -- phase A: per-job index extraction ----------------------------------------------
 
 
 def _resolve_source(spec: dict) -> HttpTrace:
-    """Materialise one shard job's input trace from its source spec.
+    """Materialise one map job's input trace from its source spec.
 
     ``inline`` carries a live :class:`HttpTrace` (same-address-space
-    dispatchers only); ``store`` names whole day partitions by
-    ``(day, digest)`` in a :class:`~repro.stream.store.TraceStore`, with
-    an optional ``slice [k, n]`` applying the even :func:`shard_ranges`
-    cut after concatenation; ``spill`` names a coordinator-spilled
-    request partial by ``(name, digest)``.  Every store/spill load is
-    digest-verified, so a corrupt input fails the job with a
-    :class:`~repro.errors.StreamError` instead of skewing the merge.
+    dispatchers only); ``store`` names one day partition, ``partitions:
+    [[day, digest]]``, in a :class:`~repro.stream.store.TraceStore`;
+    ``spill`` names a coordinator-spilled request partial by ``(name,
+    digest)``.  Every store/spill load is digest-verified, so a corrupt
+    input fails the job with a :class:`~repro.errors.StreamError`
+    instead of skewing the merge.
     """
     source = spec["source"]
     kind = source.get("kind")
     if kind == "inline":
         return source["trace"]
     if kind == "store":
-        store = TraceStore(source["root"])
-        traces = [
-            store.get(int(day), digest=str(digest)).trace
-            for day, digest in source["partitions"]
-        ]
-        trace = (
-            traces[0]
-            if len(traces) == 1
-            else HttpTrace.concat(traces, name=traces[0].name)
-        )
-        cut = source.get("slice")
-        if cut is not None:
-            index, count = int(cut[0]), int(cut[1])
-            start, stop = shard_ranges(len(trace), count)[index]
-            trace = trace.slice(start, stop)
-        return trace
+        ((day, digest),) = source["partitions"]
+        return TraceStore(source["root"]).get(int(day), digest=str(digest)).trace
     if kind == "spill":
         payload = PartialStore(source["root"]).load(source["name"], source["digest"])
         return HttpTrace.from_columns(
@@ -243,14 +248,17 @@ def _resolve_source(spec: dict) -> HttpTrace:
 
 
 def run_shard_job(spec: dict) -> dict:
-    """One map job: extract a shard's inverted-index partial and spill it.
+    """One map job: extract its input's inverted-index partial and spill it.
 
     *spec* is JSON-compatible apart from an ``inline`` source's trace
     (see :func:`_resolve_source`), so the same function serves the
     in-process dispatchers and the subprocess worker
     (:mod:`repro.core.shardworker`).  The heavy payload travels through
     the digest-verified :class:`PartialStore`; the returned dict carries
-    only the partial's identity plus small accounting.
+    only the partial's identity plus small accounting.  The payload
+    depends on the input's requests and the :data:`EXTRACTION_FIELDS`
+    alone — not on the job's index — so a stored map output is the same
+    bytes whichever job wrote it.
 
     A retrying dispatcher overrides the spill name per attempt via
     ``spec["spill_name"]`` (fresh names keep a dead attempt's bytes from
@@ -310,7 +318,7 @@ def run_shard_job(spec: dict) -> dict:
             windows[sid_of_host[host][0]].add(int(stamp // window_seconds))
     # Referrer summaries mirror pruning.dominant_referrers: per server
     # (aggregated label), count requests per external landing server, in
-    # first-seen order — contiguous shards merged in shard order then
+    # first-seen order — contiguous inputs merged in trace order then
     # reproduce the whole-trace first-seen order, so the reduce-side
     # dominant pick matches Counter.most_common's tie-break exactly.
     referrers: dict[int, dict[str, int]] = {}
@@ -334,7 +342,6 @@ def run_shard_job(spec: dict) -> dict:
                 entries[landing] = entries.get(landing, 0) + hits
 
     payload: dict[str, object] = {
-        "shard": shard,
         "requests": len(trace),
         "raw_hosts": sorted(sid_of_host),
         "vocab": {str(sid): label for sid, label in vocab.to_dict().items()},
@@ -372,7 +379,7 @@ def run_shard_job(spec: dict) -> dict:
 
 
 class _MergedIndexes:
-    """Reduce-side accumulator for phase-A partials (one shard at a time)."""
+    """Reduce-side accumulator for phase-A partials (one at a time)."""
 
     def __init__(self) -> None:
         self.vocab = StableInterner()
@@ -385,9 +392,9 @@ class _MergedIndexes:
         self.raw_hosts: set[str] = set()
         self.requests = 0
         #: server id -> landing server -> referred-request count, in
-        #: global first-seen order (shards merge in canonical order and
-        #: cover contiguous trace slices, so appending each shard's
-        #: first-seen entries reproduces the whole-trace order).
+        #: global first-seen order (partials merge in trace order and
+        #: cover contiguous slices or whole days, so appending each
+        #: partial's first-seen entries reproduces the whole-trace order).
         self.referrers: dict[int, dict[str, int]] = {}
 
     def merge(self, payload: dict) -> None:
@@ -454,7 +461,8 @@ class ShardedAccumulator:
     equal the single-pass counts for any bucket assignment — and the
     folded stats match too (``candidate_pairs`` is recomputed as the
     merged counter's size, since one pair can surface in several
-    buckets).
+    buckets).  The sharded mine builds one only for a pool that runs
+    jobs concurrently, with one bucket per pool worker.
     """
 
     def __init__(
@@ -676,48 +684,129 @@ def _assemble_hollow(
     return prepared, report, kept, referrer_of
 
 
-def _store_specs(
+def _map_partitions(
     partitions,
     store_root,
     boundaries: tuple[int, ...],
-    shards: int,
-    common: dict,
-) -> list[dict]:
-    """Store-direct shard-job specs over ``(day, digest)`` partition refs.
+    extraction: dict,
+    spill: PartialStore,
+    dispatcher,
+) -> tuple[list[dict], list]:
+    """Map the window partitions with no stored output; load them all.
 
-    Multiple partitions are grouped on day boundaries exactly like the
-    in-memory boundary split (:func:`_segment_groups`); a single
-    partition is split evenly worker-side via a ``slice`` spec applying
-    :func:`shard_ranges`.  Either way the request content per shard
-    number is identical to the in-memory path's, so the spilled partials
-    — and everything merged from them — stay byte-identical.
+    One map job per partition whose output the store lacks (job index =
+    the partition's position in the window); each verified spill is
+    moved into the store's :class:`~repro.stream.store.MapOutputStore`.
+    Returns the jobs' results and one loader per partition, in day
+    order, each reading its stored output digest-verified.
     """
-    refs = [[int(day), str(digest)] for day, digest in partitions]
+    refs = [(int(day), str(digest)) for day, digest in partitions]
     if len(refs) != len(boundaries):
         raise PipelineError(
             f"store-direct mining got {len(refs)} partitions but "
             f"{len(boundaries)} shard boundaries; they must correspond 1:1"
         )
-    specs: list[dict] = []
-    if len(refs) > 1:
-        for index, (first, last) in enumerate(_segment_groups(boundaries, shards)):
-            source = {
+    maps = TraceStore(store_root).map_outputs()
+    keys = [map_output_key(day, digest, extraction) for day, digest in refs]
+    names = [maps.find(key) for key in keys]
+    specs = [
+        {
+            "shard": index,
+            "source": {
                 "kind": "store",
                 "root": str(store_root),
-                "partitions": refs[first:last],
-            }
-            specs.append({"shard": index, "source": source, **common})
-    else:
-        count = len(shard_ranges(sum(boundaries), shards))
-        for index in range(count):
+                "partitions": [[day, digest]],
+            },
+            "spill_root": str(spill.root),
+            **extraction,
+        }
+        for index, ((day, digest), name) in enumerate(zip(refs, names))
+        if name is None
+    ]
+    results = dispatcher.run(specs)
+    for result in results:
+        index = int(result["shard"])
+        names[index] = maps.promote(
+            spill.path_of(result["name"]), keys[index], result["digest"]
+        )
+    # An output's name ends in the sha256 of its bytes.
+    return results, [
+        partial(maps.load, name, name.rpartition(".")[2]) for name in names
+    ]
+
+
+def _map_trace(
+    trace: HttpTrace,
+    shards: int,
+    boundaries: tuple[int, ...] | None,
+    extraction: dict,
+    spill: PartialStore,
+    dispatcher,
+) -> tuple[list[dict], list]:
+    """Map a trace given in memory as ``shards`` slices; load the spills.
+
+    Returns the jobs' results and one loader per slice, in trace order,
+    each reading its spill digest-verified and then deleting it.
+    """
+    specs = []
+    input_partials: list[str] = []
+    for index, (start, stop) in enumerate(shard_ranges(len(trace), shards, boundaries)):
+        shard_trace = trace.slice(start, stop, name=f"{trace.name}:shard{index}")
+        if dispatcher.inline_traces:
+            source: dict[str, object] = {"kind": "inline", "trace": shard_trace}
+        else:
+            # The dispatcher can't share our address space: spill the
+            # slice's columns and hand over a digest-verified reference.
+            input_name = f"input-{index:04d}"
+            digest, _ = spill.put(input_name, {"columns": shard_trace.columns})
+            input_partials.append(input_name)
             source = {
-                "kind": "store",
-                "root": str(store_root),
-                "partitions": refs,
-                "slice": [index, count],
+                "kind": "spill",
+                "root": str(spill.root),
+                "name": input_name,
+                "digest": digest,
+                "trace_name": shard_trace.name,
             }
-            specs.append({"shard": index, "source": source, **common})
-    return specs
+        specs.append(
+            {"shard": index, "source": source, "spill_root": str(spill.root), **extraction}
+        )
+    results = dispatcher.run(specs)
+    for input_name in input_partials:
+        spill.delete(input_name)
+    return results, [partial(_take_spill, spill, result) for result in results]
+
+
+def _take_spill(spill: PartialStore, result: dict) -> dict:
+    payload = spill.load(result["name"], result["digest"])
+    spill.delete(result["name"])
+    return payload
+
+
+def _record_map_jobs(recorder, results: list[dict], reused: int) -> None:
+    """One ``pipeline.mine.shard_index`` span per map job that ran."""
+    for result in results:
+        attributes = {
+            "shard": result["shard"],
+            "requests": result["requests"],
+            "spill_bytes": result["spilled"],
+        }
+        if "peak_rss_kb" in result:
+            attributes["worker_peak_rss_kb"] = result["peak_rss_kb"]
+        recorder.record_span("pipeline.mine.shard_index", result["seconds"], attributes)
+        recorder.counter(
+            "smash_shard_index_partials_total",
+            "Index partials produced by the map phase (one per map job).",
+        ).inc()
+        recorder.counter(
+            "smash_shard_spill_bytes_total",
+            "Bytes of sharded-mine partials spilled, by kind.",
+            labels=("kind",),
+        ).labels(kind="index").inc(result["spilled"])
+    if reused:
+        recorder.counter(
+            "smash_shard_map_outputs_reused_total",
+            "Stored map outputs merged without mapping their partition again.",
+        ).inc(reused)
 
 
 def _assemble_prepared(
@@ -784,11 +873,15 @@ def _build_secondary_graph(
     prepared: HttpTrace,
     whois,
     config: SmashConfig,
-    accumulate: ShardedAccumulator,
+    accumulate: ShardedAccumulator | None,
     merged: _MergedIndexes,
     kept: dict[int, str],
 ):
-    """Build one secondary dimension's graph with sharded accumulation."""
+    """Build one secondary dimension's graph from the merged indexes.
+
+    *accumulate* is the pool's :class:`ShardedAccumulator`, or None for
+    the builders' in-process default.
+    """
     if dimension == "urifile":
         return build_urifile_graph(prepared, config.dimensions, accumulate)
     if dimension == "ipset":
@@ -853,9 +946,13 @@ def mine_sharded(
     *store_root*) instead of *trace*, map jobs load their own day
     partitions — the coordinator never holds a raw request — and the
     reduce is forced out-of-core (*boundaries* must then be the per-
-    partition request counts, from the partition manifests).  With a
-    *trace*, ``config.out_of_core`` selects the hollow reduce and
-    ``config.dispatch`` selects how map jobs execute either way.
+    partition request counts, from the partition manifests).  Only the
+    partitions whose map output the store lacks are mapped, one job
+    each, whatever ``config.shards`` says; spills then go under the
+    store's ``.partials`` unless *spill_dir* says otherwise.  With a
+    *trace*, ``config.shards`` slices it, ``config.out_of_core`` selects
+    the hollow reduce, and ``config.dispatch`` selects how map jobs
+    execute either way.
     """
     from repro.core.pipeline import (
         DIMENSION_SIGNATURES,
@@ -865,7 +962,6 @@ def mine_sharded(
     )
 
     recorder = pipeline.metrics
-    shards = config.shards
     out_of_core = config.out_of_core or trace is None
     if trace is None and (not partitions or store_root is None or not boundaries):
         raise PipelineError(
@@ -877,6 +973,10 @@ def mine_sharded(
     want_windows = "time" in config.enabled_secondary_dimensions
     want_referrers = out_of_core and config.pruning.prune_referrer_groups
 
+    if spill_dir is None and partitions is not None:
+        # Map outputs are renamed from the spill into the store, so spill
+        # on the store's volume.
+        spill_dir = TraceStore(store_root).partials_dir()
     if spill_dir is not None:
         parent = Path(spill_dir)
         parent.mkdir(parents=True, exist_ok=True)
@@ -900,75 +1000,29 @@ def mine_sharded(
     try:
         # -- phase A + reduce: sharded preprocess ---------------------------------
         with recorder.span("pipeline.mine.preprocess") as pre_span:
-            common = {
+            extraction = {
                 "aggregate": config.preprocess.aggregate_second_level,
                 "want_patterns": want_patterns,
                 "want_windows": want_windows,
                 "want_referrers": want_referrers,
                 "window_seconds": DEFAULT_WINDOW_SECONDS,
-                "spill_root": spill_root,
             }
-            input_partials: list[str] = []
             if partitions is not None:
-                specs = _store_specs(partitions, store_root, boundaries, shards, common)
+                results, loads = _map_partitions(
+                    partitions, store_root, boundaries, extraction, spill, dispatcher
+                )
             else:
-                specs = []
-                for index, (start, stop) in enumerate(
-                    shard_ranges(len(trace), shards, boundaries)
-                ):
-                    shard_trace = trace.slice(start, stop, name=f"{trace.name}:shard{index}")
-                    if dispatcher.inline_traces:
-                        source: dict[str, object] = {
-                            "kind": "inline",
-                            "trace": shard_trace,
-                        }
-                    else:
-                        # The dispatcher can't share our address space:
-                        # spill the shard's columns and hand over a
-                        # digest-verified reference instead.
-                        input_name = f"input-{index:04d}"
-                        digest, _ = spill.put(input_name, {"columns": shard_trace.columns})
-                        input_partials.append(input_name)
-                        source = {
-                            "kind": "spill",
-                            "root": spill_root,
-                            "name": input_name,
-                            "digest": digest,
-                            "trace_name": shard_trace.name,
-                        }
-                    specs.append({"shard": index, "source": source, **common})
-            num_shards = len(specs)
-            results = dispatcher.run(specs)
-            for input_name in input_partials:
-                spill.delete(input_name)
+                results, loads = _map_trace(
+                    trace, config.shards, boundaries, extraction, spill, dispatcher
+                )
+            num_shards = len(loads)
+            if recorder.enabled:
+                _record_map_jobs(recorder, results, reused=num_shards - len(results))
 
             merged = _MergedIndexes()
             with recorder.span("pipeline.mine.shard_merge") as merge_span:
-                for result in sorted(results, key=lambda entry: entry["shard"]):
-                    merged.merge(spill.load(result["name"], result["digest"]))
-                    spill.delete(result["name"])
-                    if recorder.enabled:
-                        attributes = {
-                            "shard": result["shard"],
-                            "requests": result["requests"],
-                            "spill_bytes": result["spilled"],
-                        }
-                        if "peak_rss_kb" in result:
-                            attributes["worker_peak_rss_kb"] = result["peak_rss_kb"]
-                        recorder.record_span(
-                            "pipeline.mine.shard_index",
-                            result["seconds"],
-                            attributes,
-                        )
-                        recorder.counter(
-                            "smash_shard_index_partials_total",
-                            "Per-shard index partials produced by the map phase.",
-                        ).inc()
-                        recorder.counter(
-                            "smash_shard_spill_bytes_total",
-                            "Bytes of sharded-mine partials spilled, by kind.",
-                            labels=("kind",),
-                        ).labels(kind="index").inc(result["spilled"])
+                for load in loads:
+                    merged.merge(load())
             referrer_of: dict[str, str] | None = None
             if out_of_core:
                 prepared, report, kept, referrer_of = _assemble_hollow(
@@ -984,6 +1038,7 @@ def mine_sharded(
             if recorder.enabled:
                 merge_span.set(
                     shards=num_shards,
+                    mapped=len(results),
                     servers=len(merged.vocab),
                     kept_servers=len(kept),
                 )
@@ -1045,8 +1100,14 @@ def mine_sharded(
         graphs: dict[str, object] = {}
         build_seconds: dict[str, float] = {}
         for dimension in to_mine:
-            accumulate = ShardedAccumulator(
-                pool, num_shards or 1, spill_root, dimension, recorder=recorder
+            # Buckets only pay on a pool that runs them side by side;
+            # otherwise the builders count pairs in-process, unspilled.
+            accumulate = (
+                ShardedAccumulator(
+                    pool, pool.workers, spill_root, dimension, recorder=recorder
+                )
+                if pool.parallel
+                else None
             )
             tick = time.perf_counter()
             if dimension == MAIN_DIMENSION:

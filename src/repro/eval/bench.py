@@ -531,14 +531,16 @@ def sharded_scaling(
         configs.append((largest, 1, "serial", "subprocess", True, None))
         # Chaos twin of the out-of-core subprocess row: one worker crash
         # plus one torn spill (both wall-clock-free — no hang, so the
-        # overhead ratio measures retry cost, not timeout waits).  Its
-        # digest joins the identity assertion: recovery must reproduce
-        # the exact output, and benchcheck gates the overhead ratio.
+        # overhead ratio measures retry cost, not timeout waits).  The
+        # one-day store-direct mine runs a single map job, so both
+        # faults hit it, on consecutive attempts.  Its digest joins the
+        # identity assertion: recovery must reproduce the exact output,
+        # and benchcheck gates the overhead ratio.
         chaos_plan = fault_plan or {
             "version": 1,
             "faults": [
                 {"shard": 0, "kind": "crash_before_spill", "attempt": 1},
-                {"shard": min(1, largest - 1), "kind": "corrupt_partial", "attempt": 1},
+                {"shard": 0, "kind": "corrupt_partial", "attempt": 2},
             ],
         }
         configs.append((largest, 1, "serial", "subprocess", True, chaos_plan))

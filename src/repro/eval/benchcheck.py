@@ -40,9 +40,10 @@ DEFAULT_TOLERANCE = 0.35
 DEFAULT_RSS_TOLERANCE = 0.25
 
 #: Ceiling on the sharded suite's fault-free-vs-retrying mine-time
-#: ratio.  The chaos twin repeats two shard jobs (a crashed worker, a
-#: torn spill) out of the full batch, so its mine time should sit well
-#: under double the fault-free row's; 3.0 leaves room for runner noise
+#: ratio.  The chaos twin's one map job fails twice (a crashed worker
+#: before it loads anything, then a torn spill), so it maps its day twice
+#: and starts one more worker: about double the fault-free row's mine
+#: time at CI's small scale (1.9-2.1x measured); 3.0 leaves room for runner noise
 #: at CI's small bench scales while still catching a retry loop that
 #: re-runs the world.  A within-run ratio, valid on any machine.
 CHAOS_OVERHEAD_BOUND = 3.0

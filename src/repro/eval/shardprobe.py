@@ -43,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 import resource
+import shutil
 import sys
 import time
 
@@ -101,6 +102,10 @@ def run_probe(spec: dict) -> dict[str, object]:
         # The coordinator's whole point in this mode is never holding the
         # partition: keep only the sidecars, drop the loaded day, and let
         # store-direct shard jobs re-read it in their own processes.
+        # Rows share one store, so drop the map output an earlier row
+        # kept there: every out-of-core row (the chaos twin above all)
+        # maps its day.
+        shutil.rmtree(store.map_outputs().root, ignore_errors=True)
         whois, redirects = partition.whois, partition.redirects
         num_requests = store.request_count(day, digest)
         del partition

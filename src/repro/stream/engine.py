@@ -377,10 +377,12 @@ class StreamingSmash:
         instead of a process-private tempdir.
 
         With ``config.out_of_core`` (*combined_trace* is ``None``) the
-        mine is store-direct: shard jobs are handed ``(day, digest)``
-        partition references and load their own partitions from the
-        store; boundaries come from the partition manifests, so no day is
-        materialised in the coordinator at all.
+        mine is store-direct: one map job per window day that has no map
+        output in the store yet is handed its ``(day, digest)`` partition
+        reference and loads the partition itself, and the other days'
+        stored outputs are merged as they are; boundaries come from the
+        partition manifests, so no day is materialised in the coordinator
+        at all.
         """
         if self.config.out_of_core:
             assert self.store is not None  # guaranteed by __init__

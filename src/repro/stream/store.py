@@ -20,6 +20,10 @@ Layout under the store root::
         trace.jsonl       # the day's requests
         whois.json        # only when the partition has a registry
         redirects.json    # only when the partition has an oracle
+      maps/
+        day-00004-<key>.<sha256>.json   # one day's map output, per extraction key
+      maps.quarantine/    # map outputs that failed verification, with REASON.json
+      .partials/          # transient spills of running mines (empty at rest)
 
 Writes are atomic (temp directory + rename) and idempotent: re-putting
 an identical partition is a no-op, re-putting a *different* partition
@@ -29,14 +33,20 @@ truncated or hand-edited partition raises
 :class:`~repro.errors.StreamError` instead of silently corrupting the
 stream.
 
-:class:`PartialStore` applies the same digest-verified contract to the
-sharded mine's transient spill files (per-shard index partials,
-per-bucket pair-count partials) under ``<store>/.partials`` — or any
-scratch directory when no store is attached.
+:class:`MapOutputStore` keeps what the out-of-core mine extracted from
+each partition (``maps/``), keyed by the partition digest and the
+extraction settings, with the sha256 of the file's bytes in its name:
+a window advance maps only the entering day and merges the stored
+outputs of the others.  :class:`PartialStore` applies the same
+digest-verified contract to the sharded mine's transient spill files
+(per-job index partials, per-bucket pair-count partials) under
+``<store>/.partials`` — or any scratch directory when no store is
+attached.
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -413,6 +423,10 @@ class TraceStore:
         """
         return self.root / ".partials"
 
+    def map_outputs(self) -> "MapOutputStore":
+        """The stored map outputs of this store's partitions (``maps/``)."""
+        return MapOutputStore(self.root / "maps")
+
     def __repr__(self) -> str:
         return f"TraceStore(root={str(self.root)!r}, days={len(self.days())})"
 
@@ -630,3 +644,51 @@ class PartialStore:
     def cleanup(self) -> None:
         """Remove the spill directory and anything left in it."""
         shutil.rmtree(self.root, ignore_errors=True)
+
+
+class MapOutputStore(PartialStore):
+    """Digest-verified map outputs of stored day partitions (``maps/``).
+
+    One output is one JSON file ``<key>.<sha256>.json``: the caller's
+    *key* names what was mapped (a partition and the extraction
+    settings), and the sha256 of the file's bytes travels in the name,
+    so a reader checks a file before it trusts it.  Reads, verification
+    and quarantine are :class:`PartialStore`'s, with ``<key>.<sha256>``
+    as the partial's name.
+    """
+
+    def find(self, key: str) -> str | None:
+        """Name of the stored output for *key* whose bytes match it, or None.
+
+        A file under *key* that fails the check is quarantined with a
+        ``REASON.json`` on the way, so the caller maps the partition again.
+        """
+        for path in sorted(self.root.glob(f"{key}.*.json")):
+            name = path.name[: -len(".json")]
+            try:
+                self.verify(name, name.rpartition(".")[2])
+            except StreamError as error:
+                self.quarantine(name, {"key": key, "message": str(error)})
+                continue
+            return name
+        return None
+
+    def promote(self, source: Path, key: str, digest: str) -> str:
+        """Move a verified spill into place as the output for *key*.
+
+        A rename on the same volume is atomic; a spill on another volume
+        is first copied beside its final name, which then appears in one
+        rename all the same.  Returns the output's name.
+        """
+        name = f"{key}.{digest}"
+        final = self.path_of(name)
+        try:
+            os.replace(source, final)
+        except OSError as error:
+            if error.errno != errno.EXDEV:
+                raise
+            tmp = final.with_name(final.name + f".tmp-{os.getpid()}-{threading.get_ident()}")
+            shutil.copyfile(source, tmp)
+            os.replace(tmp, final)
+            os.unlink(source)
+        return name

@@ -428,22 +428,24 @@ class TestWorkerPeakRss:
         store = TraceStore(tmp_path / "store")
         ref = store.put(DayPartition(0, dataset.trace, dataset.whois, dataset.redirects))
         ballast = b"\x01" * (100 << 20)
-        row = shardprobe.run_probe(
-            {
-                "store_root": str(store.root),
-                "day": ref.day,
-                "digest": ref.digest,
-                "shards": 2,
-                "workers": 1,
-                "executor": "serial",
-                "dispatch": "subprocess",
-                "out_of_core": True,
-            }
-        )
+        spec = {
+            "store_root": str(store.root),
+            "day": ref.day,
+            "digest": ref.digest,
+            "shards": 2,
+            "workers": 1,
+            "executor": "serial",
+            "dispatch": "subprocess",
+            "out_of_core": True,
+        }
+        # Rows share the store: the second must map its day again, not
+        # merge the map output the first one kept.
+        rows = [shardprobe.run_probe(spec) for _ in range(2)]
         assert len(ballast) == 100 << 20
         del ballast
-        assert 0 < row["worker_peak_rss_kb"] < peak_rss_kb(), row
-        assert "children_peak_rss_kb" not in row
+        for row in rows:
+            assert 0 < row["worker_peak_rss_kb"] < peak_rss_kb(), row
+            assert "children_peak_rss_kb" not in row
 
 
 # -- store-direct shard jobs --------------------------------------------------------

@@ -135,7 +135,9 @@ class TestReuse:
             store_dir=tmp_path / "store",
         )
         assert got == expected
-        assert len(registry.spans_named("pipeline.mine.shard_index")) == 8
+        # One map job per day: each later window merges the stored output
+        # of the day before instead of mapping it again.
+        assert len(registry.spans_named("pipeline.mine.shard_index")) == 4
         assert _total(registry, STARTED) == 1
         assert len(started) == 1
 
