@@ -20,6 +20,10 @@ Subcommands cover the deploy-and-operate loop the paper describes
 * ``stats`` — render a human-readable report from a metrics artifact
   written by ``--metrics-out`` / ``--trace-out`` (:mod:`repro.obs`).
 
+A library error (:class:`~repro.errors.ReproError`) ends any command
+with one ``smash: error: <message>`` line on stderr and the exit status
+:data:`EXIT_CODES` gives its family.
+
 Examples::
 
     python -m repro generate --scenario small --out day0
@@ -45,6 +49,18 @@ from pathlib import Path
 
 from repro.config import SmashConfig
 from repro.core.pipeline import SmashPipeline
+from repro.errors import (
+    CheckpointError,
+    ConfigError,
+    GraphError,
+    GroundTruthError,
+    ObsError,
+    PipelineError,
+    ReproError,
+    ScenarioError,
+    StreamError,
+    TraceError,
+)
 from repro.eval.export import write_result_json
 from repro.httplog.loader import read_jsonl, write_jsonl
 from repro.obs import (
@@ -465,7 +481,6 @@ def _counter_total(registry: MetricsRegistry, name: str) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """Prove fault recovery: a faulted sharded mine must equal the clean run."""
     from repro.core.faults import RECOVERABLE_KINDS, FaultPlan
-    from repro.errors import ReproError
 
     factory = _SCENARIOS[args.scenario]
     spec = factory(seed=args.seed) if args.scenario == "small" else factory(
@@ -662,7 +677,7 @@ def _load_fault_plan(args: argparse.Namespace):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro", description="SMASH malware-campaign discovery (ICDCS 2015)"
+        prog="smash", description="SMASH malware-campaign discovery (ICDCS 2015)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -889,10 +904,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exit status per error family: an error takes the code of the first
+#: class in its MRO listed here.  0 is success, 1 a failed check
+#: (``chaos`` output diverged, a ``bench --check`` gate) and 2 argparse's
+#: usage error.
+EXIT_CODES: dict[type[ReproError], int] = {
+    ReproError: 3,
+    ConfigError: 4,
+    TraceError: 5,
+    ScenarioError: 6,
+    GroundTruthError: 7,
+    GraphError: 8,
+    PipelineError: 9,
+    ObsError: 10,
+    StreamError: 11,
+    CheckpointError: 12,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as error:
+        message = " ".join(str(error).splitlines())
+        print(f"{parser.prog}: error: {message}", file=sys.stderr)
+        return next(EXIT_CODES[kind] for kind in type(error).__mro__ if kind in EXIT_CODES)
 
 
 if __name__ == "__main__":  # pragma: no cover

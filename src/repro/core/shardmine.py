@@ -226,7 +226,8 @@ def _resolve_source(spec: dict) -> HttpTrace:
 
     ``inline`` carries a live :class:`HttpTrace` (same-address-space
     dispatchers only); ``store`` names one day partition, ``partitions:
-    [[day, digest]]``, in a :class:`~repro.stream.store.TraceStore`;
+    [[day, digest]]``, in a :class:`~repro.stream.store.TraceStore`,
+    whose trace alone is loaded (its sidecars are hashed, not parsed);
     ``spill`` names a coordinator-spilled request partial by ``(name,
     digest)``.  Every store/spill load is digest-verified, so a corrupt
     input fails the job with a :class:`~repro.errors.StreamError`
@@ -238,7 +239,7 @@ def _resolve_source(spec: dict) -> HttpTrace:
         return source["trace"]
     if kind == "store":
         ((day, digest),) = source["partitions"]
-        return TraceStore(source["root"]).get(int(day), digest=str(digest)).trace
+        return TraceStore(source["root"]).get_trace(int(day), digest=str(digest))
     if kind == "spill":
         payload = PartialStore(source["root"]).load(source["name"], source["digest"])
         return HttpTrace.from_columns(

@@ -19,14 +19,17 @@ Writing runs the other way round.  :func:`encode_rows` turns the
 columns into each row's JSON text without a dict per row: each
 distinct string is encoded once, each row is one ``%`` row template
 filled with its values' texts, and rows come in bounded chunks.
-:func:`write_jsonl` writes those rows, and
-:func:`repro.stream.store.partition_digest` hashes them in sort-keys
-order.
+:func:`jsonl_chunks` encodes those chunks to the file's bytes, which
+:func:`write_jsonl` writes and :class:`~repro.stream.store.TraceStore`
+hashes as it writes them.  :func:`parse_jsonl` decodes such bytes held
+in memory (a store's verified buffer) through the same line loop as
+:func:`read_jsonl`, without a decoded copy.
 """
 
 from __future__ import annotations
 
 import gzip
+import io
 import json
 import math
 import re
@@ -67,8 +70,8 @@ def _open_for_read(path: Path):
 
 def _open_for_write(path: Path):
     if path.suffix == ".gz":
-        return gzip.open(path, "wt", encoding="utf-8")
-    return open(path, "w", encoding="utf-8")
+        return gzip.open(path, "wb")
+    return open(path, "wb")
 
 
 #: The JSON key of each column, in :data:`FIELDS` order (the wire order).
@@ -105,21 +108,31 @@ def _column_encoder(column: tuple) -> Callable[[tuple], Iterable[str]]:
     return partial(map, _encode_json)
 
 
-def encode_rows(trace: HttpTrace, sort_keys: bool = False) -> Iterator[list[str]]:
+def encode_rows(trace: HttpTrace) -> Iterator[list[str]]:
     """Every row of *trace* as JSON text, in chunks of a bounded number of rows.
 
     A row's text is exactly ``json.dumps(record_dict(*row),
-    sort_keys=sort_keys, separators=(",", ":"))``: keys in wire order,
-    or sorted when *sort_keys* is true.
+    separators=(",", ":"))``: keys in wire order.
     """
-    order = sorted(range(len(FIELDS)), key=_KEYS.__getitem__) if sort_keys else range(len(FIELDS))
-    template = "{" + ",".join(f'"{_KEYS[index]}":%s' for index in order) + "}"
-    columns = [trace.columns[index] for index in order]
+    template = "{" + ",".join(f'"{key}":%s' for key in _KEYS) + "}"
+    columns = trace.columns
     encoders = [_column_encoder(column) for column in columns]
     for start in range(0, len(trace), _CHUNK_ROWS):
         stop = start + _CHUNK_ROWS
         texts = [encode(column[start:stop]) for encode, column in zip(encoders, columns)]
         yield list(map(template.__mod__, zip(*texts)))
+
+
+def jsonl_chunks(trace: HttpTrace) -> Iterator[bytes]:
+    """The bytes of *trace*'s JSONL file, one chunk of rows at a time.
+
+    Each row's line is its :func:`encode_rows` text plus ``"\\n"``; the
+    text is ASCII, so its UTF-8 encoding cannot fail.
+    """
+    for rows in encode_rows(trace):
+        rows.append("")
+        yield "\n".join(rows).encode("utf-8")
+        del rows  # not held while the next chunk is encoded
 
 
 def write_jsonl(trace: HttpTrace, path: str | Path) -> int:
@@ -130,9 +143,9 @@ def write_jsonl(trace: HttpTrace, path: str | Path) -> int:
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     with _open_for_write(target) as handle:
-        for rows in encode_rows(trace):
-            handle.write("\n".join(rows))
-            handle.write("\n")
+        for chunk in jsonl_chunks(trace):
+            handle.write(chunk)
+            del chunk  # not held while the next chunk is encoded
     return len(trace)
 
 
@@ -143,6 +156,23 @@ def read_jsonl(path: str | Path, name: str | None = None) -> HttpTrace:
     on malformed input.
     """
     source = Path(path)
+    with _open_for_read(source) as handle:
+        return _decode_lines(handle, source, name or source.stem)
+
+
+def parse_jsonl(data: bytes, source: str | Path, name: str) -> HttpTrace:
+    """Decode a JSONL trace held in memory as UTF-8 *data*.
+
+    The lines are read through a text wrapper over the buffer, so no
+    decoded copy of the whole file is made.  *source* names the data in
+    a :class:`~repro.errors.TraceError`, as the path does for
+    :func:`read_jsonl`.
+    """
+    return _decode_lines(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), source, name)
+
+
+def _decode_lines(handle: Iterable[str], source: str | Path, name: str) -> HttpTrace:
+    """The trace whose records are *handle*'s lines (the loop of :func:`read_jsonl`)."""
     columns: tuple[list, ...] = tuple([] for _ in FIELDS)
     (
         add_timestamp,
@@ -159,32 +189,31 @@ def read_jsonl(path: str | Path, name: str | None = None) -> HttpTrace:
     share = shared.setdefault
     statuses: dict[str, int] = {}
     canonical = _CANONICAL.fullmatch
-    with _open_for_read(source) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            match = canonical(line)
-            if match is not None:
-                stamp, client, host, address, uri, agent, referrer, status, method = match.groups()
-                add_timestamp(float(stamp))
-                add_client(share(client, client))
-                add_host(share(host, host))
-                add_server_ip(share(address, address))
-                add_uri(share(uri, uri))
-                add_user_agent(share(agent, agent))
-                add_referrer(share(referrer, referrer))
-                code = statuses.get(status)
-                if code is None:
-                    code = statuses[status] = int(status)
-                add_status(code)
-                add_method(share(method, method))
-                continue
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                request = HttpRequest.from_dict(json.loads(line))
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-                raise TraceError(f"{source}:{lineno}: malformed record: {exc}") from exc
-            for column, field in zip(columns, FIELDS):
-                value = getattr(request, field)
-                column.append(share(value, value) if isinstance(value, str) else value)
-    return HttpTrace.from_columns(columns, name=name or source.stem)
+    for lineno, line in enumerate(handle, start=1):
+        match = canonical(line)
+        if match is not None:
+            stamp, client, host, address, uri, agent, referrer, status, method = match.groups()
+            add_timestamp(float(stamp))
+            add_client(share(client, client))
+            add_host(share(host, host))
+            add_server_ip(share(address, address))
+            add_uri(share(uri, uri))
+            add_user_agent(share(agent, agent))
+            add_referrer(share(referrer, referrer))
+            code = statuses.get(status)
+            if code is None:
+                code = statuses[status] = int(status)
+            add_status(code)
+            add_method(share(method, method))
+            continue
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            request = HttpRequest.from_dict(json.loads(line))
+        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+            raise TraceError(f"{source}:{lineno}: malformed record: {exc}") from exc
+        for column, field in zip(columns, FIELDS):
+            value = getattr(request, field)
+            column.append(share(value, value) if isinstance(value, str) else value)
+    return HttpTrace.from_columns(columns, name=name)

@@ -6,17 +6,17 @@ so both checkpoint size and save time grew linearly with the window.
 :class:`~repro.stream.window.DayPartition` is persisted once as its own
 directory of plain files (trace JSONL plus the whois/redirect sidecars,
 the same layout ``repro generate`` emits), content-addressed by a digest
-of the partition's canonical serialisation.  Window state then
-serialises as ``(day, digest)`` references — a checkpoint is metadata
-plus tracker state, a few KB regardless of window length — and
-:class:`PartitionRef` handles load the heavy data back lazily, only when
-the window actually needs it (i.e. on the first advance after a resume).
+of the bytes written.  Window state then serialises as ``(day, digest)``
+references — a checkpoint is metadata plus tracker state, a few KB
+regardless of window length — and :class:`PartitionRef` handles load the
+heavy data back lazily, only when the window actually needs it (i.e. on
+the first advance after a resume).
 
 Layout under the store root::
 
     store/
       day-00004-3f9ae1c20b77/
-        MANIFEST.json     # day, digest, trace name, request count
+        MANIFEST.json     # format, version, day, trace name, request count, digest
         trace.jsonl       # the day's requests
         whois.json        # only when the partition has a registry
         redirects.json    # only when the partition has an oracle
@@ -25,13 +25,24 @@ Layout under the store root::
       maps.quarantine/    # map outputs that failed verification, with REASON.json
       .partials/          # transient spills of running mines (empty at rest)
 
+A version-2 partition's digest (:data:`STORE_VERSION`) is the sha256 of
+the canonical JSON of its manifest fields other than the digest, plus
+each file's name, byte length and sha256, in the order trace.jsonl,
+whois.json, redirects.json.  :meth:`TraceStore.put` hashes each file's
+chunks as it writes them, so no row is encoded twice, and the writer is
+canonical: equal partitions get equal bytes and so the same address,
+and a change to the writer's bytes is a format change.  A load reads
+each file once, checks the digest before it parses anything, then
+parses the verified buffers.  Version-1 partitions, addressed by
+:func:`partition_digest` of the decoded content, keep loading and
+verifying, so one window (and one checkpoint) may mix both versions.
+
 Writes are atomic (temp directory + rename) and idempotent: re-putting
 an identical partition is a no-op, re-putting a *different* partition
-for the same day gets a different digest directory.  Every load
-recomputes the content digest and compares it to the address, so a
-truncated or hand-edited partition raises
-:class:`~repro.errors.StreamError` instead of silently corrupting the
-stream.
+for the same day gets a different digest directory.  A truncated or
+hand-edited partition, or a manifest with a missing or ill-typed field,
+raises :class:`~repro.errors.StreamError` instead of silently
+corrupting the stream.
 
 :class:`MapOutputStore` keeps what the out-of-core mine extracted from
 each partition (``maps/``), keyed by the partition digest and the
@@ -50,13 +61,17 @@ import errno
 import hashlib
 import json
 import os
+import re
 import shutil
 import threading
 import time
+from collections.abc import Iterable
 from pathlib import Path
 
 from repro.errors import StreamError
-from repro.httplog.loader import encode_rows, read_jsonl, write_jsonl
+from repro.httplog.loader import jsonl_chunks, parse_jsonl
+from repro.httplog.records import FIELDS, record_dict
+from repro.httplog.trace import HttpTrace
 from repro.obs.metrics import NULL_RECORDER
 from repro.stream.window import (
     DayPartition,
@@ -67,9 +82,15 @@ from repro.stream.window import (
 from repro.synth.oracles import RedirectOracle
 from repro.whois.registry import WhoisRegistry
 
-#: Bump on any incompatible change to the partition layout.
-STORE_VERSION = 1
+#: Version of the partitions :meth:`TraceStore.put` writes.  Bump on any
+#: change to the layout or to the bytes written: a version-2 address is
+#: the hash of those bytes.
+STORE_VERSION = 2
 
+#: Partition versions :meth:`TraceStore.get` reads.
+_READABLE_VERSIONS = (1, 2)
+
+_FORMAT = "repro.stream.store"
 _MANIFEST_NAME = "MANIFEST.json"
 _TRACE_NAME = "trace.jsonl"
 _WHOIS_NAME = "whois.json"
@@ -79,28 +100,90 @@ _REDIRECTS_NAME = "redirects.json"
 #: make day-level collisions implausible while keeping paths readable.
 _DIGEST_PREFIX = 12
 
+_SHA256_HEX = re.compile(r"[0-9a-f]{64}")
+
+#: trace.jsonl's key of each trace column.
+_RECORD_KEYS = tuple(record_dict(*FIELDS))
+
+#: What each manifest field must hold: ``(field, test, description)``.
+#: ``day`` is checked against the day being addressed.
+_MANIFEST_FIELDS = (
+    ("format", lambda value: value == _FORMAT, repr(_FORMAT)),
+    ("version", lambda value: type(value) is int and value in _READABLE_VERSIONS, "1 or 2"),
+    ("trace_name", lambda value: isinstance(value, str), "a string"),
+    ("num_requests", lambda value: type(value) is int and value >= 0, "a non-negative integer"),
+    ("has_whois", lambda value: isinstance(value, bool), "a boolean"),
+    ("has_redirects", lambda value: isinstance(value, bool), "a boolean"),
+    (
+        "digest",
+        lambda value: isinstance(value, str) and _SHA256_HEX.fullmatch(value) is not None,
+        "64 lowercase hex digits",
+    ),
+)
+
 
 def partition_digest(partition: DayPartition) -> str:
-    """Content digest of a partition's canonical JSON serialisation.
+    """Version-1 address: the sha256 of the partition's canonical document.
 
-    That is the sha256 of ``json.dumps(partition.to_dict(),
-    sort_keys=True, separators=(",", ":"))``, fed piecewise instead of
-    built: the document's text around an empty request list, with the
-    rows :func:`~repro.httplog.loader.encode_rows` gives in sort-keys
-    order joined by ``","`` in between.
+    The document is ``json.dumps(partition.to_dict(), sort_keys=True,
+    separators=(",", ":"))``.  Only version-1 loads use it; a version-2
+    address hashes the bytes written instead (:func:`_content_digest`).
     """
-    envelope = json.dumps(
-        partition.envelope([]), sort_keys=True, separators=(",", ":")
+    payload = json.dumps(partition.to_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _content_digest(manifest: dict, files: list[tuple[str, int, str]]) -> str:
+    """Version-2 address of a partition whose files are *files*.
+
+    *files* holds each written file's ``(name, byte length, sha256)``;
+    the hashed document also carries every field of *manifest* but the
+    digest.
+    """
+    document = {key: value for key, value in manifest.items() if key != "digest"}
+    document["files"] = [list(entry) for entry in files]
+    encoded = json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return hashlib.sha256(encoded).hexdigest()
+
+
+def _write_hashed(path: Path, chunks: Iterable[bytes]) -> tuple[str, int, str]:
+    """Write *chunks* to *path*; returns the file's ``(name, byte length, sha256)``."""
+    digest = hashlib.sha256()
+    size = 0
+    with open(path, "wb") as handle:
+        for chunk in chunks:
+            digest.update(chunk)
+            size += handle.write(chunk)
+            del chunk  # not held while the next chunk is encoded
+    return path.name, size, digest.hexdigest()
+
+
+def _read_manifest(path: Path, day: int) -> dict:
+    """The manifest of partition directory *path*, checked field by field.
+
+    Raises :class:`~repro.errors.StreamError` naming the file and the
+    first field that is missing or ill-typed, or whose ``day`` is not
+    the *day* being addressed.
+    """
+    file = path / _MANIFEST_NAME
+    try:
+        manifest = json.loads(file.read_bytes())
+    except (OSError, ValueError) as error:
+        raise StreamError(f"corrupt partition manifest {file}: {error}") from error
+    if not isinstance(manifest, dict):
+        raise StreamError(f"corrupt partition manifest {file}: not a JSON object")
+    fields = _MANIFEST_FIELDS + (
+        ("day", lambda value: type(value) is int and value == day, f"the integer {day}"),
     )
-    # Quotes inside JSON strings are escaped, so only the key spells this.
-    head, tail = envelope.split('"requests":[]')
-    digest = hashlib.sha256(f'{head}"requests":['.encode("utf-8"))
-    for index, rows in enumerate(encode_rows(partition.trace, sort_keys=True)):
-        if index:
-            digest.update(b",")
-        digest.update(",".join(rows).encode("utf-8"))
-    digest.update(f"]{tail}".encode("utf-8"))
-    return digest.hexdigest()
+    for field, valid, expected in fields:
+        if field not in manifest:
+            raise StreamError(f"invalid partition manifest {file}: field {field!r} is missing")
+        if not valid(manifest[field]):
+            raise StreamError(
+                f"invalid partition manifest {file}: field {field!r} must be {expected}, "
+                f"not {manifest[field]!r}"
+            )
+    return manifest
 
 
 class PartitionRef:
@@ -214,79 +297,72 @@ class TraceStore:
         with self.metrics.span(
             "store.put", metric="smash_store_put_seconds", day=partition.day
         ) as span:
-            ref, wrote = self._put(partition)
+            ref, written = self._put(partition)
         if self.metrics.enabled:
-            span.set(digest=ref.digest[:_DIGEST_PREFIX], wrote=wrote)
-            if wrote:
-                final = self.path_of(partition.day, ref.digest)
+            span.set(digest=ref.digest[:_DIGEST_PREFIX], wrote=written > 0)
+            if written:
                 self.metrics.counter(
                     "smash_store_bytes_written_total",
                     "Bytes of partition files written to the trace store.",
-                ).inc(
-                    sum(p.stat().st_size for p in final.iterdir() if p.is_file())
-                )
+                ).inc(written)
         return ref
 
-    def _put(self, partition: DayPartition) -> tuple[PartitionRef, bool]:
-        digest = partition_digest(partition)
-        final = self.path_of(partition.day, digest)
-        if (final / _MANIFEST_NAME).is_file():
-            return PartitionRef(partition.day, digest, self, partition), False
+    def _put(self, partition: DayPartition) -> tuple[PartitionRef, int]:
+        """Write *partition*; returns its handle and the bytes it added to the store.
 
-        tmp = final.with_name(
-            final.name + f".tmp-{os.getpid()}-{threading.get_ident()}"
-        )
+        The address is known only once the files are written, so they
+        go to a temporary directory that is renamed into place, or
+        dropped when the same content is already stored.
+        """
+        day = partition.day
+        tmp = self.root / f"day-{day:05d}.tmp-{os.getpid()}-{threading.get_ident()}"
         if tmp.exists():
             shutil.rmtree(tmp)
         tmp.mkdir(parents=True)
         try:
-            write_jsonl(partition.trace, tmp / _TRACE_NAME)
+            files = [_write_hashed(tmp / _TRACE_NAME, jsonl_chunks(partition.trace))]
             if partition.whois is not None:
                 # Compact: an indent would force json's pure-Python encoder.
-                (tmp / _WHOIS_NAME).write_text(
-                    json.dumps(whois_to_list(partition.whois), separators=(",", ":")) + "\n"
-                )
+                text = json.dumps(whois_to_list(partition.whois), separators=(",", ":"))
+                files.append(_write_hashed(tmp / _WHOIS_NAME, [f"{text}\n".encode("utf-8")]))
             if partition.redirects is not None:
-                (tmp / _REDIRECTS_NAME).write_text(
-                    json.dumps(
-                        redirects_to_dict(partition.redirects), sort_keys=True
-                    )
-                    + "\n"
-                )
+                text = json.dumps(redirects_to_dict(partition.redirects), sort_keys=True)
+                files.append(_write_hashed(tmp / _REDIRECTS_NAME, [f"{text}\n".encode("utf-8")]))
             manifest = {
-                "format": "repro.stream.store",
+                "format": _FORMAT,
                 "version": STORE_VERSION,
-                "day": partition.day,
-                "digest": digest,
+                "day": day,
                 "trace_name": partition.trace.name,
                 "num_requests": len(partition.trace),
                 "has_whois": partition.whois is not None,
                 "has_redirects": partition.redirects is not None,
             }
+            digest = manifest["digest"] = _content_digest(manifest, files)
+            ref = PartitionRef(day, digest, self, partition)
+            final = self.path_of(day, digest)
+            if (final / _MANIFEST_NAME).is_file():  # identical content already stored
+                shutil.rmtree(tmp)
+                return ref, 0
             # The manifest is written last: a crash mid-put leaves a
             # directory `has()`/`get()` treat as absent.
-            (tmp / _MANIFEST_NAME).write_text(
-                json.dumps(manifest, indent=1, sort_keys=True) + "\n"
-            )
-            if final.exists():  # identical content raced in; keep it
-                shutil.rmtree(tmp)
-            else:
-                try:
-                    os.replace(tmp, final)
-                except OSError as error:
-                    # A concurrent writer renamed the same content into
-                    # place between our exists() check and the rename;
-                    # content addressing makes that a success, anything
-                    # else is a real store failure.
-                    shutil.rmtree(tmp, ignore_errors=True)
-                    if not (final / _MANIFEST_NAME).is_file():
-                        raise StreamError(
-                            f"could not persist partition into {final}: {error}"
-                        ) from error
+            encoded = (json.dumps(manifest, indent=1, sort_keys=True) + "\n").encode("utf-8")
+            (tmp / _MANIFEST_NAME).write_bytes(encoded)
+            try:
+                os.replace(tmp, final)
+            except OSError as error:
+                # A concurrent writer renamed the same content into
+                # place after our check; content addressing makes that
+                # a success, anything else is a real store failure.
+                shutil.rmtree(tmp, ignore_errors=True)
+                if not (final / _MANIFEST_NAME).is_file():
+                    raise StreamError(
+                        f"could not persist partition into {final}: {error}"
+                    ) from error
+                return ref, 0
         except Exception:
             shutil.rmtree(tmp, ignore_errors=True)
             raise
-        return PartitionRef(partition.day, digest, self, partition), True
+        return ref, sum(size for _, size, _ in files) + len(encoded)
 
     # -- read path ----------------------------------------------------------------
 
@@ -300,9 +376,20 @@ class TraceStore:
         with self.metrics.span(
             "store.get", metric="smash_store_get_seconds", day=day
         ):
-            return self._get(day, digest)
+            return self._load(day, digest, sidecars=True)
 
-    def _get(self, day: int, digest: str | None = None) -> DayPartition:
+    def get_trace(self, day: int, digest: str | None = None) -> HttpTrace:
+        """A stored partition's trace alone, verified as :meth:`get` verifies it.
+
+        Every file is still read and hashed, but a version-2 partition's
+        whois/redirect sidecars are not parsed.
+        """
+        with self.metrics.span(
+            "store.get", metric="smash_store_get_seconds", day=day
+        ):
+            return self._load(day, digest, sidecars=False).trace
+
+    def _locate(self, day: int, digest: str | None) -> Path:
         if digest is None:
             variants = [
                 path
@@ -318,48 +405,33 @@ class TraceStore:
         if path is None or not (path / _MANIFEST_NAME).is_file():
             wanted = f"day {day}" if digest is None else f"day {day} ({digest[:12]})"
             raise StreamError(f"trace store {self.root} has no partition for {wanted}")
-        try:
-            manifest = json.loads((path / _MANIFEST_NAME).read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            raise StreamError(f"corrupt partition manifest in {path}: {error}") from error
-        if not isinstance(manifest, dict) or manifest.get("format") != "repro.stream.store":
-            raise StreamError(f"{path} is not a trace-store partition")
-        if manifest.get("version") != STORE_VERSION:
-            raise StreamError(
-                f"partition version {manifest.get('version')!r} in {path} unsupported "
-                f"(this build reads version {STORE_VERSION})"
-            )
+        return path
 
-        expected = str(manifest.get("digest", ""))
-        try:
-            trace = read_jsonl(
-                path / _TRACE_NAME, name=str(manifest.get("trace_name", "trace"))
-            )
-            whois_path = path / _WHOIS_NAME
-            whois = (
-                whois_from_list(json.loads(whois_path.read_text()))
-                if manifest.get("has_whois")
-                else None
-            )
-            redirects_path = path / _REDIRECTS_NAME
-            redirects = None
-            if manifest.get("has_redirects"):
-                redirects = RedirectOracle.from_dict(
-                    json.loads(redirects_path.read_text())
-                )
-        except StreamError:
-            raise
-        except Exception as error:  # missing file, bad JSON, bad records
-            raise StreamError(f"corrupt partition in {path}: {error}") from error
-
-        partition = DayPartition(
-            day=int(manifest.get("day", day)),
-            trace=trace,
-            whois=whois,
-            redirects=redirects,
-        )
-        actual = partition_digest(partition)
-        verified = actual == expected and (digest is None or actual == digest)
+    def _load(self, day: int, digest: str | None, sidecars: bool) -> DayPartition:
+        path = self._locate(day, digest)
+        manifest = _read_manifest(path, day)
+        names = [_TRACE_NAME]
+        if manifest["has_whois"]:
+            names.append(_WHOIS_NAME)
+        if manifest["has_redirects"]:
+            names.append(_REDIRECTS_NAME)
+        blobs: dict[str, bytes] = {}
+        files: list[tuple[str, int, str]] = []
+        for name in names:
+            try:
+                data = (path / name).read_bytes()
+            except OSError as error:
+                raise StreamError(f"corrupt partition in {path}: {error}") from error
+            files.append((name, len(data), hashlib.sha256(data).hexdigest()))
+            if name == _TRACE_NAME or sidecars or manifest["version"] == 1:
+                blobs[name] = data
+        if manifest["version"] == 1:
+            # A version-1 address covers the decoded content, not the bytes.
+            partition = _parse(path, manifest, blobs)
+            actual = partition_digest(partition)
+        else:
+            actual = _content_digest(manifest, files)
+        verified = actual == manifest["digest"] and (digest is None or actual == digest)
         if self.metrics.enabled:
             self.metrics.counter(
                 "smash_store_digest_verifications_total",
@@ -369,13 +441,15 @@ class TraceStore:
             self.metrics.counter(
                 "smash_store_bytes_read_total",
                 "Bytes of partition files read back from the trace store.",
-            ).inc(sum(p.stat().st_size for p in path.iterdir() if p.is_file()))
+            ).inc(sum(size for _, size, _ in files) + (path / _MANIFEST_NAME).stat().st_size)
         if not verified:
             raise StreamError(
                 f"corrupt partition in {path}: content digest {actual[:12]} does not "
-                f"match stored digest {(digest or expected)[:12]}"
+                f"match stored digest {(digest or manifest['digest'])[:12]}"
             )
-        return partition
+        if manifest["version"] == 1:
+            return partition
+        return _parse(path, manifest, blobs)
 
     def ref(self, day: int, digest: str) -> PartitionRef:
         """Unloaded handle for a stored partition; fails fast if absent."""
@@ -399,13 +473,7 @@ class TraceStore:
                 f"trace store {self.root} has no partition for day {day} "
                 f"({digest[:12]})"
             )
-        try:
-            manifest = json.loads((path / _MANIFEST_NAME).read_text())
-            return int(manifest["num_requests"])
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as error:
-            raise StreamError(
-                f"corrupt partition manifest in {path}: {error}"
-            ) from error
+        return _read_manifest(path, day)["num_requests"]
 
     def total_bytes(self) -> int:
         """Bytes used by all stored partitions (for the bench harness)."""
@@ -429,6 +497,33 @@ class TraceStore:
 
     def __repr__(self) -> str:
         return f"TraceStore(root={str(self.root)!r}, days={len(self.days())})"
+
+
+def _parse(path: Path, manifest: dict, blobs: dict[str, bytes]) -> DayPartition:
+    """The partition in *blobs*, the bytes of *path*'s files by name.
+
+    A sidecar absent from *blobs* is left unparsed (``None``).
+    """
+    try:
+        data = blobs[_TRACE_NAME]
+        if manifest["version"] == 1:
+            # A version-1 address hashes the values written, as JSON
+            # decodes them; the loader would turn an integral timestamp
+            # into a float and so miss the address.
+            rows = [json.loads(line) for line in data.splitlines() if line.strip()]
+            trace = HttpTrace.from_columns(
+                [[row[key] for row in rows] for key in _RECORD_KEYS], name=manifest["trace_name"]
+            )
+        else:
+            trace = parse_jsonl(data, path / _TRACE_NAME, manifest["trace_name"])
+        whois = redirects = None
+        if _WHOIS_NAME in blobs:
+            whois = whois_from_list(json.loads(blobs[_WHOIS_NAME]))
+        if _REDIRECTS_NAME in blobs:
+            redirects = RedirectOracle.from_dict(json.loads(blobs[_REDIRECTS_NAME]))
+    except Exception as error:  # bad JSON, bad records
+        raise StreamError(f"corrupt partition in {path}: {error}") from error
+    return DayPartition(day=manifest["day"], trace=trace, whois=whois, redirects=redirects)
 
 
 class PartialStore:

@@ -75,14 +75,10 @@ class DayPartition:
     redirects: RedirectOracle | None = None
 
     def to_dict(self) -> dict[str, object]:
-        return self.envelope(list(self.trace.iter_dicts()))
-
-    def envelope(self, requests: list) -> dict[str, object]:
-        """:meth:`to_dict` with *requests* in place of the trace's rows."""
         return {
             "day": self.day,
             "trace_name": self.trace.name,
-            "requests": requests,
+            "requests": list(self.trace.iter_dicts()),
             "whois": whois_to_list(self.whois),
             "redirects": redirects_to_dict(self.redirects),
         }

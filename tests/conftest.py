@@ -6,9 +6,15 @@ are session-scoped: many integration tests read them, none mutates them.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core.pipeline import SmashPipeline
+from repro.httplog.loader import write_jsonl
+from repro.stream.store import partition_digest
+from repro.stream.window import redirects_to_dict, whois_to_list
 from repro.synth import TraceGenerator, small_scenario
 
 
@@ -36,3 +42,46 @@ def small_result_single(small_dataset, small_mined):
     return SmashPipeline().finish(
         small_mined, redirects=small_dataset.redirects, thresh=1.0
     )
+
+
+@pytest.fixture
+def write_v1_partition():
+    """A function that lays out a version-1 trace-store partition by hand.
+
+    ``write(root, partition, digest=None, whois_indent=None)`` writes the
+    files and manifest builds before store format 2 wrote, addressed by
+    *digest* (default: :func:`partition_digest` of *partition*), and
+    returns the digest.  *whois_indent* gives the earlier indented
+    whois.json layout.
+    """
+
+    def write(root, partition, digest=None, whois_indent=None) -> str:
+        digest = digest or partition_digest(partition)
+        directory = Path(root) / f"day-{partition.day:05d}-{digest[:12]}"
+        directory.mkdir(parents=True)
+        write_jsonl(partition.trace, directory / "trace.jsonl")
+        if partition.whois is not None:
+            records = whois_to_list(partition.whois)
+            text = (
+                json.dumps(records, indent=whois_indent)
+                if whois_indent
+                else json.dumps(records, separators=(",", ":"))
+            )
+            (directory / "whois.json").write_text(text + "\n")
+        if partition.redirects is not None:
+            mapping = redirects_to_dict(partition.redirects)
+            (directory / "redirects.json").write_text(json.dumps(mapping, sort_keys=True) + "\n")
+        manifest = {
+            "format": "repro.stream.store",
+            "version": 1,
+            "day": partition.day,
+            "digest": digest,
+            "trace_name": partition.trace.name,
+            "num_requests": len(partition.trace),
+            "has_whois": partition.whois is not None,
+            "has_redirects": partition.redirects is not None,
+        }
+        (directory / "MANIFEST.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+        return digest
+
+    return write

@@ -109,15 +109,36 @@ class TestCliRoundTrip:
         assert "inferred campaigns" in captured
         assert "campaign #" in captured
 
-    def test_bad_dimension_rejected(self, generated, tmp_path):
+    def test_bad_dimension_rejected(self, generated, tmp_path, capsys):
+        from repro.cli import EXIT_CODES
         from repro.errors import ConfigError
-        with pytest.raises(ConfigError):
-            main([
-                "run",
-                "--trace",
-                str(generated / "trace.jsonl"),
-                "--dimensions",
-                "telepathy",
-                "--out",
-                str(tmp_path / "x.json"),
-            ])
+
+        code = main([
+            "run",
+            "--trace",
+            str(generated / "trace.jsonl"),
+            "--dimensions",
+            "telepathy",
+            "--out",
+            str(tmp_path / "x.json"),
+        ])
+        assert code == EXIT_CODES[ConfigError]
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("smash: error: ") and "telepathy" in last
+
+    def test_each_error_family_has_its_own_exit_code(self):
+        import repro.errors
+        from repro.cli import EXIT_CODES
+
+        families = {
+            kind
+            for kind in vars(repro.errors).values()
+            if isinstance(kind, type) and issubclass(kind, repro.errors.ReproError)
+        }
+        # Worker failures are pipeline errors; every other class is a family.
+        assert set(EXIT_CODES) == families - {
+            repro.errors.WorkerError,
+            repro.errors.ShardTimeoutError,
+        }
+        codes = list(EXIT_CODES.values())
+        assert len(set(codes)) == len(codes) and min(codes) > 2

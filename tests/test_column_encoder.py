@@ -1,14 +1,13 @@
-"""The column encoder behind ``write_jsonl`` and ``partition_digest``.
+"""The column encoder behind ``write_jsonl`` and the trace store's writes.
 
 :func:`~repro.httplog.loader.encode_rows` turns a trace's columns into
 each row's JSON text without building a dict per row.  Its contract is
-that nothing changes on disk or in a store address: the oracles below
-are the per-row formulas both functions used before, kept here
-verbatim as the reference.
+that nothing changes on disk: the oracles below are the per-row
+formulas used before, kept here verbatim as the reference.
 
 * ``write_jsonl`` bytes are
   ``"".join(json.dumps(record_dict(*row), separators=(",", ":")) + "\\n" ...)``;
-* ``partition_digest`` is the sha256 of
+* ``partition_digest``, the version-1 store address, is the sha256 of
   ``json.dumps(partition.to_dict(), sort_keys=True, separators=(",", ":"))``;
 * a store put + get never builds a row dict.
 """
@@ -125,13 +124,11 @@ class TestEncoderEquivalence:
         trace = trace_of(rows)
         for chunk in CHUNKS:
             with mock.patch.object(loader, "_CHUNK_ROWS", chunk):
-                for sort_keys in (False, True):
-                    chunks = list(encode_rows(trace, sort_keys=sort_keys))
-                    assert all(len(texts) <= chunk for texts in chunks)
-                    assert sum(chunks, []) == [
-                        json.dumps(record_dict(*row), sort_keys=sort_keys, separators=(",", ":"))
-                        for row in rows
-                    ]
+                chunks = list(encode_rows(trace))
+                assert all(len(texts) <= chunk for texts in chunks)
+                assert sum(chunks, []) == [
+                    json.dumps(record_dict(*row), separators=(",", ":")) for row in rows
+                ]
 
     @seed(20150629)
     @settings(max_examples=50, deadline=None, database=None)
@@ -194,11 +191,9 @@ class TestEncoderEquivalence:
         plain = (1.5, "c", "h", "1.1.1.1", "/", "-", "", 200, "GET")
         position = FIELDS.index(field)
         rows = [plain[:position] + (value,) + plain[position + 1 :] for value in values]
-        for sort_keys in (False, True):
-            assert sum(encode_rows(trace_of(rows), sort_keys=sort_keys), []) == [
-                json.dumps(record_dict(*row), sort_keys=sort_keys, separators=(",", ":"))
-                for row in rows
-            ]
+        assert sum(encode_rows(trace_of(rows)), []) == [
+            json.dumps(record_dict(*row), separators=(",", ":")) for row in rows
+        ]
 
     def test_unserialisable_values_fail_like_json(self):
         trace = trace_of([(Decimal(5), "c", "h", "", "/", "-", "", 200, "GET")])
@@ -231,5 +226,5 @@ def test_store_put_and_get_build_no_row_dicts(monkeypatch, tmp_path):
     assert loaded.trace == partition.trace
     assert calls == []
     # The counter does see the dict path.
-    assert reference_digest(partition) == ref.digest
+    reference_digest(partition)
     assert calls == [1]

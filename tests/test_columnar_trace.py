@@ -16,6 +16,7 @@ those columns.  These tests pin the contracts that change must not move:
 from __future__ import annotations
 
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -25,12 +26,12 @@ from hypothesis import strategies as st
 
 from repro.config import SmashConfig
 from repro.core.pipeline import SmashPipeline
-from repro.errors import TraceError
+from repro.errors import StreamError, TraceError
 from repro.httplog.loader import read_jsonl, write_jsonl
 from repro.httplog.records import FIELDS, HttpRequest, record_dict
 from repro.httplog.trace import HttpTrace
-from repro.stream import StreamingSmash
-from repro.stream.store import TraceStore, partition_digest
+from repro.stream import StreamingSmash, load_checkpoint, save_checkpoint
+from repro.stream.store import STORE_VERSION, TraceStore, partition_digest
 from repro.stream.window import DayPartition, RollingWindow
 from repro.synth.generator import TraceGenerator
 from repro.synth.oracles import RedirectOracle
@@ -338,6 +339,99 @@ def _pinned_partition() -> DayPartition:
 
 def test_partition_digest_is_pinned():
     assert partition_digest(_pinned_partition()) == PINNED_PARTITION_DIGEST
+
+
+#: The version-2 address of _pinned_partition(): the hash of the bytes
+#: TraceStore.put writes for it.  Any change to those bytes is a format
+#: change, so this pin moves only together with STORE_VERSION.
+PINNED_V2_DIGEST = "61af036982acf61869a1af312daa05ea144cf0b7322498d9703d1146ca9c5876"
+
+
+def test_version_2_address_is_pinned(tmp_path):
+    ref = TraceStore(tmp_path).put(_pinned_partition())
+    assert (STORE_VERSION, ref.digest) == (2, PINNED_V2_DIGEST)
+
+
+def _flip_byte(path: Path, marker: bytes) -> None:
+    """Flip the low bit of the last byte of *marker* in *path*."""
+    data = bytearray(path.read_bytes())
+    data[data.index(marker) + len(marker) - 1] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def test_version_1_partition_loads_and_verifies(tmp_path, write_v1_partition):
+    pinned = _pinned_partition()
+    store = TraceStore(tmp_path)
+    write_v1_partition(tmp_path, pinned, digest=PINNED_PARTITION_DIGEST)
+    loaded = store.get(4, digest=PINNED_PARTITION_DIGEST)
+    assert loaded.trace == pinned.trace and loaded.trace.name == pinned.trace.name
+    assert loaded.whois.lookup("example.com").registrant == 'A "B" \\ C'
+    assert loaded.redirects.to_dict() == pinned.redirects.to_dict()
+    assert store.get_trace(4, digest=PINNED_PARTITION_DIGEST) == pinned.trace
+    # One flipped byte ("c1" becomes "c0") still parses, but fails the check.
+    _flip_byte(store.path_of(4, PINNED_PARTITION_DIGEST) / "trace.jsonl", b'"client":"c1')
+    with pytest.raises(StreamError, match="corrupt partition"):
+        store.get(4, digest=PINNED_PARTITION_DIGEST)
+    with pytest.raises(StreamError, match="corrupt partition"):
+        store.get_trace(4, digest=PINNED_PARTITION_DIGEST)
+
+
+@pytest.mark.parametrize("out_of_core", [False, True], ids=["in-process", "out-of-core"])
+def test_checkpoint_naming_version_1_partitions_resumes(tmp_path, write_v1_partition, out_of_core):
+    """A window restored from version-1 refs mixes them with version-2 days."""
+    config = SmashConfig().replace(
+        **(dict(shards=2, out_of_core=True, dispatch="serial") if out_of_core else {})
+    )
+    days = list(TraceGenerator(small_scenario(seed=3, days=7)).iter_days())
+    pinned = _pinned_partition()
+
+    def partition(day):
+        if day == pinned.day:
+            return pinned
+        return DayPartition(day, days[day].trace, days[day].whois, days[day].redirects)
+
+    def ingest(engine, day):
+        found = partition(day)
+        return engine.ingest_day(day, found.trace, found.whois, found.redirects)
+
+    plain = StreamingSmash(window_size=2)
+    expected = [ingest(plain, day) for day in range(7)]
+
+    store_dir = tmp_path / "store"
+    engine = StreamingSmash(config=config, window_size=2, store_dir=store_dir)
+    for day in range(5):
+        ingest(engine, day)
+    engine.close()
+    checkpoint = save_checkpoint(engine, tmp_path / "stream.ckpt")
+    # Rewrite the window's partitions as a version-1 build stored them.
+    payload = json.loads(checkpoint.read_text())
+    refs = payload["state"]["window"]["partitions"]
+    store = TraceStore(store_dir)
+    for entry in refs:
+        shutil.rmtree(store.path_of(entry["day"], entry["digest"]))
+        entry["digest"] = write_v1_partition(store_dir, partition(entry["day"]))
+    checkpoint.write_text(json.dumps(payload))
+    assert refs[-1] == {"day": 4, "digest": PINNED_PARTITION_DIGEST}
+
+    resumed = load_checkpoint(checkpoint, config=config)
+    assert resumed.window.days == (3, 4)
+    for day in (5, 6):
+        assert ingest(resumed, day).result == expected[day].result
+    resumed.close()
+    assert resumed.tracker.to_dict() == plain.tracker.to_dict()
+    versions = {
+        path.name[:9]: json.loads((path / "MANIFEST.json").read_text())["version"]
+        for path in store_dir.glob("day-*")
+    }
+    assert versions == {
+        "day-00000": 2,
+        "day-00001": 2,
+        "day-00002": 2,
+        "day-00003": 1,
+        "day-00004": 1,
+        "day-00005": 2,
+        "day-00006": 2,
+    }
 
 
 # -- hot paths build no records -----------------------------------------------------

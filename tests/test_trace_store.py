@@ -57,21 +57,29 @@ class TestTraceStore:
         assert loaded.trace.name == "day3"
         assert loaded.whois.lookup("a.com").registrant == "r"
         assert loaded.redirects.landing_server("a.com") == "land.com"
-        assert partition_digest(loaded) == ref.digest
+        # The writer is canonical: the loaded partition writes the same
+        # bytes, so it gets the same address.
+        assert store.put(loaded).digest == ref.digest
 
-    def test_whois_sidecar_is_compact_and_old_indented_layout_loads(self, tmp_path):
+    def test_whois_sidecar_is_compact_and_old_indented_layout_loads(
+        self, tmp_path, write_v1_partition
+    ):
         store = TraceStore(tmp_path)
         original = rich_partition()
         ref = store.put(original)
-        sidecar = next(tmp_path.glob("day-*")) / "whois.json"
+        sidecar = store.path_of(3, ref.digest) / "whois.json"
         records = json.loads(sidecar.read_text())
         assert sidecar.read_text() == json.dumps(records, separators=(",", ":")) + "\n"
-        # Partitions written with the earlier indented sidecar carry the
-        # same digest: it covers the parsed records, not the file layout.
-        sidecar.write_text(json.dumps(records, indent=1) + "\n")
-        loaded = store.get(3, digest=ref.digest)
+        # Version-1 partitions written with the earlier indented sidecar
+        # still load: their digest covers the parsed records, not the
+        # file layout.
+        old = TraceStore(tmp_path / "v1")
+        digest = write_v1_partition(old.root, original, whois_indent=1)
+        old_sidecar = old.path_of(3, digest) / "whois.json"
+        assert old_sidecar.read_text() == json.dumps(records, indent=1) + "\n"
+        loaded = old.get(3, digest=digest)
         assert loaded.whois.lookup("a.com").registrant == "r"
-        assert partition_digest(loaded) == ref.digest
+        assert partition_digest(loaded) == digest
 
     def test_put_is_idempotent(self, tmp_path):
         store = TraceStore(tmp_path)
@@ -143,6 +151,44 @@ class TestTraceStore:
         assert store.days() == (3,)
         assert store.get(3).day == 3
         assert store.put(rich_partition()).digest == ref.digest
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("format", "repro.other"),
+            ("version", 3),
+            ("version", True),
+            ("version", "2"),
+            ("day", "x"),
+            ("day", 4),
+            ("day", 3.0),
+            ("trace_name", 7),
+            ("num_requests", -1),
+            ("num_requests", "2"),
+            ("num_requests", True),
+            ("has_whois", 1),
+            ("has_redirects", "yes"),
+            ("digest", "abc"),
+            ("digest", "G" * 64),
+            ("digest", None),
+            *((field, "missing") for field in ("format", "version", "day", "digest")),
+        ],
+    )
+    def test_bad_manifest_field_raises_naming_file_and_field(self, tmp_path, field, value):
+        store = TraceStore(tmp_path)
+        ref = store.put(rich_partition())
+        manifest_path = store.path_of(3, ref.digest) / "MANIFEST.json"
+        manifest = json.loads(manifest_path.read_text())
+        if value == "missing":
+            del manifest[field]
+        else:
+            manifest[field] = value
+        manifest_path.write_text(json.dumps(manifest))
+        message = rf"MANIFEST\.json.*'{field}'"
+        with pytest.raises(StreamError, match=message):
+            store.get(3, digest=ref.digest)
+        with pytest.raises(StreamError, match=message):
+            store.request_count(3, ref.digest)
 
     def test_missing_manifest_means_absent(self, tmp_path):
         store = TraceStore(tmp_path)
