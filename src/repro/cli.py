@@ -609,10 +609,10 @@ def _add_worker_flags(parser: argparse.ArgumentParser) -> None:
         "--shards",
         type=int,
         default=1,
-        help="mine an in-memory trace as a map-reduce over N slices with "
-        "spill-to-store partials (default 1 = single pass); --out-of-core "
-        "streams instead map each stored day once; every shard count "
-        "produces byte-identical output",
+        help="preprocess an in-memory trace as a map-reduce over N slices "
+        "with spill-to-store partials, then mine it as usual (default 1 = "
+        "single pass); --out-of-core streams instead map each stored day "
+        "once; every shard count produces byte-identical output",
     )
     parser.add_argument(
         "--dispatch",

@@ -115,7 +115,7 @@ class DimensionConfig:
     #: (raising if numpy is missing).  Both backends produce
     #: byte-identical mining output, so this is an execution-strategy
     #: flag like ``SmashConfig.workers`` — excluded from equality,
-    #: repr, and therefore the incremental-mining content signatures.
+    #: repr, and therefore the dimension-cache keys.
     use_csr: bool | None = field(default=None, compare=False, repr=False)
 
     def validate(self) -> None:
@@ -279,31 +279,31 @@ class SmashConfig:
     #: dimension ablations.
     enabled_secondary_dimensions: tuple[str, ...] = ("urifile", "ipset", "whois")
 
-    #: Worker count for per-dimension mining inside ``SmashPipeline.mine``
-    #: (the main dimension plus each enabled secondary dimension is an
-    #: independent build-graph + Louvain job).  ``1`` (the default) mines
-    #: serially; ``0`` means one worker per available CPU.  Mining is
-    #: deterministic by construction, so every worker count produces an
-    #: identical :class:`~repro.core.results.SmashResult`.
+    #: Worker count of the pool inside ``SmashPipeline.mine``: the main
+    #: dimension plus each enabled secondary dimension is an independent
+    #: build-graph + Louvain job on it, in every mode, and a sharded
+    #: mine's ``"pool"``-dispatched map jobs share it.  ``1`` (the
+    #: default) mines serially; ``0`` means one worker per available CPU.
+    #: Mining is deterministic by construction, so every worker count
+    #: produces an identical :class:`~repro.core.results.SmashResult`.
     workers: int = 1
 
     #: Executor used when ``workers > 1``: ``"serial"``, ``"thread"`` or
     #: ``"process"`` (see :mod:`repro.util.parallel` for the trade-offs).
     executor: str = "thread"
 
-    #: Shard count for the map-reduce mine path
-    #: (:mod:`repro.core.shardmine`).  ``1`` (the default) mines in one
-    #: pass; ``N > 1`` splits a trace given in memory into N contiguous
-    #: slices (day-partition-aligned under the streaming engine),
-    #: extracts per-slice index partials with spill-to-store, and merges
-    #: them (pair counting fans out only when the ``workers``/
-    #: ``executor`` pool runs jobs side by side).  An out-of-core,
+    #: Shard count for the sharded preprocess
+    #: (:mod:`repro.core.shardmine`).  ``1`` (the default) preprocesses
+    #: in one pass; ``N > 1`` splits a trace given in memory into N
+    #: contiguous slices (day-partition-aligned under the streaming
+    #: engine), extracts per-slice index partials with spill-to-store,
+    #: and merges them into the prepared trace, whose dimensions are
+    #: mined as a one-pass preprocess's are.  An out-of-core,
     #: store-direct mine ignores it: its map unit is the day partition,
     #: each mapped once and kept in the store.  Sharding is an execution
-    #: strategy, not a semantic knob:
-    #: every shard count produces byte-identical results, so (like
-    #: ``workers``) the field is top-level and excluded from the
-    #: incremental-mining content signatures.
+    #: strategy, not a semantic knob: every shard count produces
+    #: byte-identical results, so (like ``workers``) the field is
+    #: top-level and excluded from the dimension-cache keys.
     shards: int = 1
 
     #: How the sharded mine's map jobs are dispatched (see
@@ -322,16 +322,16 @@ class SmashConfig:
     #: Run the sharded mine out-of-core: map jobs load their own day
     #: partitions from the :class:`~repro.stream.store.TraceStore` (one
     #: job per day the store holds no map output for; outputs are kept
-    #: in the store and reused by later windows) and the reduce streams
-    #: the index partials into per-dimension graphs without ever
-    #: assembling the full prepared trace in the coordinator.
+    #: in the store and reused by later windows) and the reduce merges
+    #: the index partials into an index-only prepared trace, never
+    #: assembling the window's requests in the coordinator.
     #: Byte-identical to the in-memory path.  Requires a trace store on
     #: the streaming path (``smash stream --store``).
     out_of_core: bool = False
 
     #: Default for the streaming engine's per-dimension mining cache: on
-    #: window advance, dimensions whose content signature is unchanged by
-    #: the entering/leaving days are spliced in from cache instead of
+    #: window advance, dimensions whose inputs are unchanged by the
+    #: entering/leaving days are spliced in from cache instead of
     #: re-mined (see :class:`~repro.core.pipeline.DimensionCache`).  A
     #: cache hit is provably identical to a cold re-mine, so this only
     #: changes advance latency, never results; disable (or pass
@@ -362,7 +362,7 @@ class SmashConfig:
     #: the fault-tolerance tests to prove recovery: a mine that survives
     #: its plan must produce byte-identical output, so — like
     #: ``metrics`` — the field is excluded from equality, repr, and the
-    #: incremental-mining content signatures.
+    #: dimension-cache keys.
     fault_plan: object | None = field(default=None, compare=False, repr=False)
 
     #: Metrics recorder (a :class:`~repro.obs.MetricsRegistry`) the
@@ -370,8 +370,8 @@ class SmashConfig:
     #: selects the shared :data:`~repro.obs.NULL_RECORDER`, whose every
     #: method is a no-op.  Recording is metadata-only by contract — it
     #: never influences mining results — so the field is excluded from
-    #: equality, repr, and (being top-level) the incremental-mining
-    #: content signatures, which digest only the sub-configs.
+    #: equality, repr, and (being top-level) the dimension-cache keys,
+    #: which hold only the sub-configs.
     metrics: object | None = field(default=None, compare=False, repr=False)
 
     def validate(self) -> None:

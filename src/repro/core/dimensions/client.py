@@ -37,7 +37,6 @@ def build_client_graph_from_indices(
     clients_by_server: dict[str, frozenset[str]],
     servers_by_client: dict[str, frozenset[str]],
     config: DimensionConfig | None = None,
-    accumulate=None,
 ) -> WeightedGraph:
     """Build the main-dimension graph from the two inverted indices.
 
@@ -45,13 +44,8 @@ def build_client_graph_from_indices(
     the preprocessed trace's indices — filtering a server namespace never
     changes a surviving server's client set, so deriving the restricted
     indices replaces materialising a filtered trace.
-
-    *accumulate* swaps the pair-count accumulator (default
-    :func:`~repro.core.interning.accumulate_pair_counts`); the sharded
-    mine passes a partition-parallel drop-in with identical semantics.
     """
     config = config or DimensionConfig()
-    accumulate = accumulate or accumulate_pair_counts
     # Canonical node order: ids mirror the sorted server namespace, so
     # ascending-id iteration is the canonical label iteration and the
     # graph qualifies for the Louvain index fast path.
@@ -66,7 +60,7 @@ def build_client_graph_from_indices(
         for servers in servers_by_client.values()
     ]
     stats = PairStats()
-    pair_common = accumulate(
+    pair_common = accumulate_pair_counts(
         groups,
         width,
         cap=config.max_group_size,

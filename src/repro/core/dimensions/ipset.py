@@ -25,12 +25,9 @@ from repro.graph.wgraph import WeightedGraph
 from repro.httplog.trace import HttpTrace
 
 
-def build_ipset_graph(
-    trace: HttpTrace, config: DimensionConfig | None = None, accumulate=None
-) -> WeightedGraph:
+def build_ipset_graph(trace: HttpTrace, config: DimensionConfig | None = None) -> WeightedGraph:
     """Build the IP-set similarity graph from the trace's resolutions."""
     config = config or DimensionConfig()
-    accumulate = accumulate or accumulate_pair_counts
     ips_by_server = trace.ips_by_server
     # Canonical node order (see build_client_graph): sorted, not set order.
     ordered = sorted(ips_by_server)
@@ -46,7 +43,7 @@ def build_ipset_graph(
             ids_by_ip[ip].append(server_id)
 
     stats = PairStats()
-    pair_common = accumulate(
+    pair_common = accumulate_pair_counts(
         (sorted(group) for group in ids_by_ip.values()),
         width,
         cap=config.max_group_size,

@@ -40,17 +40,17 @@ def active_windows_by_server(
     """server -> set of window indices in which it received requests."""
     if window_seconds <= 0:
         raise ValueError("window_seconds must be > 0")
-    # An index-only trace (out-of-core sharded mine) carries the
-    # shard-merged window index, computed at the default width; honour it
-    # only for that width so a caller asking for another width still
-    # fails loudly on the missing raw requests.
+    # A trace prepared by the sharded preprocess carries the shard-merged
+    # window index, computed at the default width; honour it only for
+    # that width, so a caller asking for another width scans the requests
+    # (and an index-only trace fails loudly on their absence).
     if window_seconds == DEFAULT_WINDOW_SECONDS:
         injected = getattr(trace, "_windows_by_server", None)
         if injected is not None:
             return injected
     windows: dict[str, set[int]] = defaultdict(set)
-    for request in trace:
-        windows[request.host].add(int(request.timestamp // window_seconds))
+    for host, stamp in zip(trace.column("host"), trace.column("timestamp")):
+        windows[host].add(int(stamp // window_seconds))
     return {server: frozenset(found) for server, found in windows.items()}
 
 
@@ -58,19 +58,10 @@ def build_time_graph(
     trace: HttpTrace,
     config: DimensionConfig | None = None,
     window_seconds: float = DEFAULT_WINDOW_SECONDS,
-    accumulate=None,
-    windows_of: dict[str, frozenset[int]] | None = None,
 ) -> WeightedGraph:
-    """Build the temporal co-occurrence graph for *trace*.
-
-    *windows_of* short-circuits the request scan with a precomputed
-    (e.g. shard-merged) window index; it must equal what
-    :func:`active_windows_by_server` would return for *trace*.
-    """
+    """Build the temporal co-occurrence graph for *trace*."""
     config = config or DimensionConfig()
-    accumulate = accumulate or accumulate_pair_counts
-    if windows_of is None:
-        windows_of = active_windows_by_server(trace, window_seconds)
+    windows_of = active_windows_by_server(trace, window_seconds)
     # Canonical node order: trace.servers is a frozenset, so iterating it
     # directly would insert nodes in hash order.
     ordered = sorted(trace.servers)
@@ -97,7 +88,7 @@ def build_time_graph(
             quiet_groups.append(sorted(members))
 
     stats = PairStats()
-    pair_common = accumulate(
+    pair_common = accumulate_pair_counts(
         quiet_groups,
         width,
         cap=config.max_group_size,

@@ -91,12 +91,9 @@ def file_similarity(
     return forward * backward
 
 
-def build_urifile_graph(
-    trace: HttpTrace, config: DimensionConfig | None = None, accumulate=None
-) -> WeightedGraph:
+def build_urifile_graph(trace: HttpTrace, config: DimensionConfig | None = None) -> WeightedGraph:
     """Build the URI-file similarity graph for *trace*."""
     config = config or DimensionConfig()
-    accumulate = accumulate or accumulate_pair_counts
     files_by_server = trace.files_by_server
     # Canonical node order (see build_client_graph): sorted, not set order.
     ordered = sorted(files_by_server)
@@ -167,7 +164,7 @@ def build_urifile_graph(
         families[find(name)].update(long_names[name])
 
     stats = PairStats()
-    pair_common = accumulate(
+    pair_common = accumulate_pair_counts(
         chain(
             (sorted(group) for group in ids_by_file.values()),
             (sorted(group) for group in families.values()),

@@ -35,42 +35,38 @@ from repro.core.interning import PairStats, accumulate_pair_counts, add_overlap_
 from repro.graph.csr import new_graph
 from repro.graph.wgraph import WeightedGraph
 from repro.httplog.trace import HttpTrace
+from repro.httplog.uri import query_parameter_names
 
 Pattern = tuple[str, ...]
 
 
 def parameter_patterns_by_server(trace: HttpTrace) -> dict[str, frozenset[Pattern]]:
     """server -> set of sorted query-parameter-name tuples observed."""
-    # An index-only trace (out-of-core sharded mine) carries the
-    # shard-merged pattern index instead of raw requests.
+    # A trace prepared by the sharded preprocess carries the shard-merged
+    # pattern index (an index-only trace has no requests to scan).
     injected = getattr(trace, "_patterns_by_server", None)
     if injected is not None:
         return injected
+    # Each distinct (host, URI) pair is visited once, in first-seen
+    # order, and each distinct URI parsed once.
     patterns: dict[str, set[Pattern]] = defaultdict(set)
-    for request in trace:
-        names = request.parameter_names
+    names_of: dict[str, Pattern] = {}
+    for host, uri in dict.fromkeys(zip(trace.column("host"), trace.column("uri"))):
+        names = names_of.get(uri)
+        if names is None:
+            names = names_of[uri] = query_parameter_names(uri)
         if names:
-            patterns[request.host].add(names)
+            patterns[host].add(names)
     return {server: frozenset(found) for server, found in patterns.items()}
 
 
-def build_urlparam_graph(
-    trace: HttpTrace,
-    config: DimensionConfig | None = None,
-    accumulate=None,
-    patterns_of: dict[str, frozenset[Pattern]] | None = None,
-) -> WeightedGraph:
+def build_urlparam_graph(trace: HttpTrace, config: DimensionConfig | None = None) -> WeightedGraph:
     """Build the parameter-pattern similarity graph for *trace*.
 
     Servers with no parameterised requests become isolated nodes.
-    *patterns_of* short-circuits the request scan with a precomputed
-    (e.g. shard-merged) pattern index; it must equal what
-    :func:`parameter_patterns_by_server` would return for *trace*.
     """
     config = config or DimensionConfig()
-    accumulate = accumulate or accumulate_pair_counts
-    if patterns_of is None:
-        patterns_of = parameter_patterns_by_server(trace)
+    patterns_of = parameter_patterns_by_server(trace)
     # Canonical node order: trace.servers is a frozenset, so iterating it
     # directly would insert nodes in hash order.
     ordered = sorted(trace.servers)
@@ -99,7 +95,7 @@ def build_urlparam_graph(
             rare_groups.append(sorted(members))
 
     stats = PairStats()
-    pair_common = accumulate(
+    pair_common = accumulate_pair_counts(
         rare_groups,
         width,
         cap=config.max_group_size,

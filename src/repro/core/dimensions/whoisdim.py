@@ -90,11 +90,9 @@ def build_whois_graph(
     trace: HttpTrace,
     whois: WhoisRegistry,
     config: DimensionConfig | None = None,
-    accumulate=None,
 ) -> WeightedGraph:
     """Build the Whois similarity graph for the servers of *trace*."""
     config = config or DimensionConfig()
-    accumulate = accumulate or accumulate_pair_counts
     # Canonical node order: trace.servers is a frozenset, so iterating it
     # directly would insert nodes in hash order.
     ordered = sorted(trace.servers)
@@ -122,7 +120,7 @@ def build_whois_graph(
     cap = config.max_group_size
     effective_cap = min(cap, _MAX_POSTING_LIST) if cap else _MAX_POSTING_LIST
     stats = PairStats()
-    pair_common = accumulate(
+    pair_common = accumulate_pair_counts(
         postings.values(), width, cap=effective_cap, stats=stats
     )
 

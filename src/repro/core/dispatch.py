@@ -257,8 +257,8 @@ class SerialDispatcher(ShardDispatcher):
 class PoolDispatcher(ShardDispatcher):
     """Fan shard jobs out on the mine's shared :class:`JobPool`.
 
-    The pool is owned by the caller (it also serves the pair-partial and
-    Louvain fan-outs), so :meth:`close` leaves it alone.  Outcomes are
+    The pool is owned by the caller (it also serves the mine's dimension
+    jobs), so :meth:`close` leaves it alone.  Outcomes are
     plain dicts, so the retry loop runs inside pool workers even under a
     process executor; the pool offers no cancellation, so a fatal error
     surfaces only after the batch drains.

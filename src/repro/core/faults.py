@@ -144,16 +144,20 @@ class FaultSpec:
     seconds: float = 60.0
 
     def __post_init__(self) -> None:
+        # Types are checked exactly (a JSON ``true`` is no shard, ``0.7``
+        # no attempt), so a malformed plan fails here, not mid-mine.
         if self.kind not in FAULT_KINDS:
             raise ConfigError(
                 f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
             )
-        if self.shard < 0:
-            raise ConfigError("fault shard must be >= 0")
-        if self.attempt is not None and self.attempt < 1:
-            raise ConfigError("fault attempt is 1-based; must be >= 1 or null")
-        if self.seconds <= 0:
-            raise ConfigError("fault seconds must be > 0")
+        if type(self.shard) is not int or self.shard < 0:
+            raise ConfigError(f"fault shard must be an integer >= 0, got {self.shard!r}")
+        if self.attempt is not None and (type(self.attempt) is not int or self.attempt < 1):
+            raise ConfigError(
+                f"fault attempt is 1-based: an integer >= 1 or null, got {self.attempt!r}"
+            )
+        if type(self.seconds) not in (int, float) or not self.seconds > 0:
+            raise ConfigError(f"fault seconds must be a number > 0, got {self.seconds!r}")
 
     def to_dict(self) -> dict[str, object]:
         doc: dict[str, object] = {"shard": self.shard, "kind": self.kind}
@@ -165,14 +169,21 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FaultSpec":
+        """The spec a plan entry describes; :class:`ConfigError` if malformed.
+
+        ``shard`` and ``kind`` are required, ``attempt`` and ``seconds``
+        optional; every value keeps its JSON type (no coercion).
+        """
         if not isinstance(doc, dict):
-            raise ConfigError(f"fault spec must be a JSON object, got {type(doc)}")
-        attempt = doc.get("attempt")
+            raise ConfigError(f"fault spec must be a JSON object, got {type(doc).__name__}")
+        for name in ("shard", "kind"):
+            if name not in doc:
+                raise ConfigError(f"fault {name} is missing")
         return cls(
-            shard=int(doc["shard"]),
-            kind=str(doc["kind"]),
-            attempt=None if attempt is None else int(attempt),
-            seconds=float(doc.get("seconds", 60.0)),
+            shard=doc["shard"],
+            kind=doc["kind"],
+            attempt=doc.get("attempt"),
+            seconds=doc.get("seconds", 60.0),
         )
 
 
@@ -203,7 +214,13 @@ class FaultPlan:
     def from_dict(cls, doc: dict) -> "FaultPlan":
         if not isinstance(doc, dict) or not isinstance(doc.get("faults"), list):
             raise ConfigError('fault plan must be {"faults": [...]} JSON')
-        return cls(faults=tuple(FaultSpec.from_dict(entry) for entry in doc["faults"]))
+        faults = []
+        for index, entry in enumerate(doc["faults"]):
+            try:
+                faults.append(FaultSpec.from_dict(entry))
+            except ConfigError as error:
+                raise ConfigError(f"fault plan entry {index}: {error}") from None
+        return cls(faults=tuple(faults))
 
     @classmethod
     def load(cls, path: str | Path) -> "FaultPlan":

@@ -8,27 +8,32 @@ the configured threshold, pruning and campaign inference.  ``run_sweep``
 re-correlates the mined herds at several thresholds without redoing the
 expensive graph work — how the Table II/III threshold sweeps are produced.
 
-Per-dimension mining is dispatched through ``SECONDARY_GRAPH_BUILDERS``
-(a registry, so extensions can add dimensions without touching ``mine``)
-and can fan out over a thread or process pool via
-``SmashConfig(workers=..., executor=...)`` or ``mine(workers=N)``; the
-mining core is deterministic by construction, so parallel and serial runs
-produce identical results.
+``mine`` has one dimension stage for every mode.  Preprocessing runs in
+one pass, or — with ``shards > 1``, ``out_of_core``, a non-``pool``
+dispatch, or store partitions instead of a trace — as the sharded
+preprocess of :mod:`repro.core.shardmine`, which returns a prepared
+trace equal index for index to the one-pass result.  The main dimension
+and each enabled secondary dimension, dispatched through
+``SECONDARY_GRAPH_BUILDERS`` (a registry, so extensions can add
+dimensions without touching ``mine``), are then independent
+build-graph + Louvain jobs on one pool, sized by
+``SmashConfig(workers=..., executor=...)``; the mining core is
+deterministic by construction, so every mode, worker count and executor
+produces identical results.
 
 ``mine(cache=DimensionCache())`` makes repeated runs over overlapping
 inputs incremental: each dimension's mining outcome is cached under a
-content signature of exactly the inputs its graph builder reads (the
-``DIMENSION_SIGNATURES`` registry), so a re-run only rebuilds dimensions
-whose inputs actually changed — the seam the streaming engine uses to
-advance a multi-day window without re-mining untouched dimensions.
-Because a signature hit proves the builder's inputs are byte-identical
-and mining is deterministic, the cached outcome *is* the outcome a cold
+key holding exactly the inputs its graph builder reads (the
+``DIMENSION_SIGNATURES`` registry), and a re-run only rebuilds
+dimensions whose inputs compare unequal — the seam the streaming engine
+uses to advance a multi-day window without re-mining untouched
+dimensions.  Because a hit proves the builder's inputs are equal and
+mining is deterministic, the cached outcome *is* the outcome a cold
 rebuild would produce, under any ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
 import weakref
 
@@ -41,9 +46,9 @@ from repro.core.ashmining import MiningOutcome, mine_herds
 from repro.core.correlation import correlate_ids
 from repro.core.dimensions.client import build_client_graph_from_indices
 from repro.core.dimensions.ipset import build_ipset_graph
-from repro.core.dimensions.timedim import build_time_graph
+from repro.core.dimensions.timedim import active_windows_by_server, build_time_graph
 from repro.core.dimensions.urifile import build_urifile_graph
-from repro.core.dimensions.urlparam import build_urlparam_graph
+from repro.core.dimensions.urlparam import build_urlparam_graph, parameter_patterns_by_server
 from repro.core.dimensions.whoisdim import build_whois_graph
 from repro.core.inference import infer_campaigns_ids
 from repro.core.interning import Interner
@@ -55,7 +60,7 @@ from repro.graph.wgraph import WeightedGraph
 from repro.obs.metrics import NULL_RECORDER
 from repro.httplog.trace import HttpTrace
 from repro.synth.oracles import RedirectOracle
-from repro.util.parallel import JobPool, resolve_workers
+from repro.util.parallel import JobPool
 from repro.whois.registry import WhoisRegistry
 
 #: A secondary-dimension graph builder: ``(trace, whois, config) -> graph``.
@@ -112,129 +117,71 @@ SECONDARY_GRAPH_BUILDERS: dict[str, SecondaryGraphBuilder] = {
 }
 
 
-#: A dimension's input signature: a stable string covering *exactly* the
-#: data its graph builder reads from the (preprocessed) trace and
-#: sidecars.  Two calls with equal signatures are guaranteed to mine
-#: identical outcomes, which is what lets ``DimensionCache`` reuse them.
-DimensionSignature = Callable[
-    [HttpTrace, "WhoisRegistry | None", SmashConfig], str
-]
+#: A dimension's cache key: ``(config.dimensions, config.louvain,
+#: inputs)``, where *inputs* is exactly the data its graph builder reads
+#: from the (preprocessed) trace and sidecars.  Two calls with equal
+#: (``==``) keys are guaranteed to mine identical outcomes, which is what
+#: lets ``DimensionCache`` reuse them.
+DimensionSignature = Callable[[HttpTrace, "WhoisRegistry | None", SmashConfig], tuple]
 
 
-def _digest(*parts: object) -> str:
-    payload = "\x1f".join(repr(part) for part in parts)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _mapping_payload(mapping: dict[str, frozenset[str]]) -> list[tuple[str, tuple[str, ...]]]:
-    return sorted(
-        (key, tuple(sorted(values))) for key, values in mapping.items()
-    )
-
-
-def _mapping_signature(dimension: str, attribute: str) -> DimensionSignature:
-    """Signature for builders that read one server -> set mapping.
-
-    The main dimension qualifies too: the client graph, the
-    single-client herds and the multi/single server split are all
-    functions of ``clients_by_server`` alone.
-    """
-
-    def signer(
-        trace: HttpTrace, whois: WhoisRegistry | None, config: SmashConfig
-    ) -> str:
-        return _digest(
-            dimension,
-            repr(config.dimensions),
-            repr(config.louvain),
-            _mapping_payload(getattr(trace, attribute)),
-        )
+def _signature(
+    inputs: Callable[[HttpTrace, "WhoisRegistry | None"], object],
+) -> DimensionSignature:
+    def signer(trace: HttpTrace, whois: WhoisRegistry | None, config: SmashConfig) -> tuple:
+        return config.dimensions, config.louvain, inputs(trace, whois)
 
     return signer
 
 
-def _signature_whois(
-    trace: HttpTrace, whois: WhoisRegistry | None, config: SmashConfig
-) -> str:
+def _whois_inputs(trace: HttpTrace, whois: WhoisRegistry | None) -> object:
     if whois is None:
-        records: object = None
-    else:
-        records = [
-            (server, None if record is None else sorted(record.to_dict().items()))
-            for server in sorted(trace.servers)
-            for record in (whois.lookup(server),)
-        ]
-    return _digest(
-        "whois", repr(config.dimensions), repr(config.louvain), records
-    )
+        return None
+    return {server: whois.lookup(server) for server in trace.servers}
 
 
-def _signature_urlparam(
-    trace: HttpTrace, whois: WhoisRegistry | None, config: SmashConfig
-) -> str:
-    from repro.core.dimensions.urlparam import parameter_patterns_by_server
-
-    patterns = sorted(
-        (server, tuple(sorted(found)))
-        for server, found in parameter_patterns_by_server(trace).items()
-    )
-    return _digest(
-        "urlparam",
-        repr(config.dimensions),
-        repr(config.louvain),
-        sorted(trace.servers),
-        patterns,
-    )
-
-
-def _signature_time(
-    trace: HttpTrace, whois: WhoisRegistry | None, config: SmashConfig
-) -> str:
-    from repro.core.dimensions.timedim import active_windows_by_server
-
-    windows = sorted(
-        (server, tuple(sorted(found)))
-        for server, found in active_windows_by_server(trace).items()
-    )
-    return _digest(
-        "time",
-        repr(config.dimensions),
-        repr(config.louvain),
-        sorted(trace.servers),
-        windows,
-    )
-
-
-#: Signature functions per dimension, parallel to
-#: ``SECONDARY_GRAPH_BUILDERS`` (plus the main dimension).  Computing a
-#: signature is one linear pass over the trace — orders of magnitude
-#: cheaper than candidate-pair enumeration plus Louvain — so checking
-#: the cache is always worth it.  A dimension registered here without a
-#: builder (or vice versa) fails loudly in ``mine``.
+#: Key functions per dimension, parallel to ``SECONDARY_GRAPH_BUILDERS``
+#: (plus the main dimension, whose client graph, single-client herds and
+#: multi/single server split are all functions of ``clients_by_server``
+#: alone).  A key holds the trace's own index mappings, not a copy or a
+#: hash of them, so computing one costs nothing and comparing two costs
+#: one pass over the indexes only when they are not the same objects.  A
+#: dimension registered here without a builder (or vice versa) fails
+#: loudly in ``mine``.
 DIMENSION_SIGNATURES: dict[str, DimensionSignature] = {
-    MAIN_DIMENSION: _mapping_signature(MAIN_DIMENSION, "clients_by_server"),
-    "urifile": _mapping_signature("urifile", "files_by_server"),
-    "ipset": _mapping_signature("ipset", "ips_by_server"),
-    "whois": _signature_whois,
-    "urlparam": _signature_urlparam,
-    "time": _signature_time,
+    MAIN_DIMENSION: _signature(lambda trace, whois: trace.clients_by_server),
+    "urifile": _signature(lambda trace, whois: trace.files_by_server),
+    "ipset": _signature(lambda trace, whois: trace.ips_by_server),
+    "whois": _signature(_whois_inputs),
+    "urlparam": _signature(
+        lambda trace, whois: (trace.servers, parameter_patterns_by_server(trace))
+    ),
+    "time": _signature(lambda trace, whois: (trace.servers, active_windows_by_server(trace))),
 }
 
 
 class DimensionCache:
-    """Content-addressed cache of per-dimension mining outcomes.
+    """Per-dimension mining outcomes, reused while their inputs stay equal.
 
     Keyed by dimension name; an entry is reused only when the current
-    input signature matches the cached one, so a hit is provably
-    equivalent to re-mining (the ISSUE's "incremental == full re-mine"
-    invariant).  The streaming engine keeps one of these per stream and
+    key (:data:`DIMENSION_SIGNATURES`) compares equal to the stored one,
+    so a hit is provably equivalent to re-mining (incremental == full
+    re-mine).  The streaming engine keeps one of these per stream and
     passes it to every :meth:`SmashPipeline.mine` as the window slides;
-    dimensions untouched by the entering/leaving days keep their
-    signatures and are spliced back in, dirtied dimensions re-mine.
+    dimensions untouched by the entering/leaving days keep equal inputs
+    and are spliced back in, dirtied dimensions re-mine.
+
+    An entry holds the mapping objects of the trace it was mined from
+    instead of a digest of them.  That is sound because a trace's
+    indexes are never edited after they are built: every derived trace
+    (filtered, sliced, preprocessed, merged from shards) gets mappings of
+    its own, so a stored mapping still describes the inputs its outcome
+    was mined from.  A hit stores the new key in place of the old one,
+    so the cache keeps no older window's indexes alive.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[str, tuple[str, MiningOutcome | None]] = {}
+        self._entries: dict[str, tuple[tuple, MiningOutcome | None]] = {}
         self.hits = 0
         self.misses = 0
         #: Dimensions reused / re-mined by the most recent ``mine`` call.
@@ -244,16 +191,17 @@ class DimensionCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, dimension: str, signature: str) -> tuple[bool, "MiningOutcome | None"]:
+    def lookup(self, dimension: str, signature: tuple) -> tuple[bool, "MiningOutcome | None"]:
         entry = self._entries.get(dimension)
         if entry is not None and entry[0] == signature:
             self.hits += 1
+            self._entries[dimension] = (signature, entry[1])
             return True, entry[1]
         self.misses += 1
         return False, None
 
     def update(
-        self, dimension: str, signature: str, outcome: "MiningOutcome | None"
+        self, dimension: str, signature: tuple, outcome: "MiningOutcome | None"
     ) -> None:
         self._entries[dimension] = (signature, outcome)
 
@@ -536,19 +484,21 @@ class SmashPipeline:
         construction, so every worker count and executor kind returns an
         identical :class:`MinedDimensions`.
 
-        With *shards* > 1 (overriding ``SmashConfig.shards``) the whole
-        mine runs as the map-reduce of :mod:`repro.core.shardmine`:
-        per-shard index extraction with spill-to-store, merged
-        preprocessing, and partition-parallel pair counting — byte-
-        identical to the single-shard path under any ``PYTHONHASHSEED``.
-        *shard_boundaries* (per-day request counts, as the streaming
-        engine supplies) aligns shard cuts with stored partitions;
-        *spill_dir* hosts the partial spill files (a private temporary
-        directory is used when ``None``).
+        With *shards* > 1 (overriding ``SmashConfig.shards``)
+        preprocessing runs as the map-reduce of
+        :mod:`repro.core.shardmine`: per-shard index extraction with
+        spill-to-store, merged into the prepared trace, whose dimensions
+        are then mined exactly as a one-pass preprocess's are — byte-
+        identical under any ``PYTHONHASHSEED``.  The map jobs and the
+        dimension jobs share the mine's pool.  *shard_boundaries*
+        (per-day request counts, as the streaming engine supplies)
+        aligns shard cuts with stored partitions; *spill_dir* hosts the
+        partial spill files (a private temporary directory is used when
+        ``None``).
 
         *dispatch* picks how map jobs execute (``serial`` / ``pool`` /
-        ``subprocess``) and *out_of_core* selects the streaming reduce
-        that never assembles the full prepared trace in the coordinator
+        ``subprocess``) and *out_of_core* selects the hollow reduce that
+        never assembles the prepared trace's requests in the coordinator
         (both override the :class:`~repro.config.SmashConfig` fields of
         the same names).  With *partitions* (``(day, digest)`` references
         into the :class:`~repro.stream.store.TraceStore` at *store_root*)
@@ -558,11 +508,11 @@ class SmashPipeline:
         result's trace label.  Every combination returns byte-identical
         mining results.
 
-        With *cache* (a :class:`DimensionCache`), dimensions whose input
-        signature matches a cached entry are spliced in from the cache
-        instead of re-mined; only dirtied dimensions become jobs.  The
-        result is structurally identical either way — a signature hit
-        proves the dimension's inputs did not change.
+        With *cache* (a :class:`DimensionCache`), dimensions whose inputs
+        equal a cached entry's are spliced in from the cache instead of
+        re-mined; only dirtied dimensions become jobs.  The result is
+        structurally identical either way — a hit proves the dimension's
+        inputs did not change.
 
         Servers visited by exactly one client are handled the way the
         paper handles them (Appendix C, footnote 10): "all the servers
@@ -639,126 +589,124 @@ class SmashPipeline:
                 ),
             )
             config.validate()
-        workers = config.workers
-        executor = config.executor
         recorder = self.metrics
-        use_sharded = (
+        sharded = (
             config.shards > 1
             or config.out_of_core
             or config.dispatch != "pool"
             or partitions is not None
         )
-        if use_sharded:
-            from repro.core.shardmine import mine_sharded
+        # One pool serves every fan-out of the mine (map jobs, then the
+        # dimension jobs), so the process executor pays its spawn cost
+        # once per mine.
+        with JobPool(workers=config.workers, executor=config.executor) as pool:
+            with recorder.span("pipeline.mine.preprocess") as pre_span:
+                if sharded:
+                    from repro.core.shardmine import preprocess_sharded
 
-            # One pool serves every fan-out of the sharded mine (shard
-            # indexing, per-dimension pair partials, Louvain), so the
-            # process executor pays its spawn cost once per mine.
-            with JobPool(workers=workers, executor=executor) as pool:
-                return mine_sharded(
-                    self,
-                    trace,
-                    whois,
-                    config,
-                    cache,
-                    span,
-                    pool,
-                    boundaries=shard_boundaries,
-                    spill_dir=spill_dir,
-                    partitions=partitions,
-                    store_root=store_root,
-                    trace_name=trace_name,
-                )
-        with recorder.span("pipeline.mine.preprocess") as pre_span:
-            prepared, report = preprocess(trace, config.preprocess)
-        if recorder.enabled:
-            pre_span.set(
-                raw_requests=report.raw_requests,
-                kept_requests=report.kept_requests,
-                raw_servers=report.raw_servers,
-                kept_servers=report.kept_servers,
-                popular_servers_removed=report.popular_servers_removed,
-            )
-
-        clients_by_server = prepared.clients_by_server
-        single_client_servers = {
-            server
-            for server, clients in clients_by_server.items()
-            if len(clients) == 1
-        }
-        # Multi-client restriction of the two main-dimension indices,
-        # derived by dropping the single-client servers: a server-level
-        # filter cannot change a surviving server's client set, so this
-        # equals (and replaces) materialising a filtered trace.
-        multi_clients_by_server = {
-            server: clients
-            for server, clients in clients_by_server.items()
-            if server not in single_client_servers
-        }
-        multi_servers_by_client: dict[str, frozenset[str]] = {}
-        for client, servers in prepared.servers_by_client.items():
-            surviving = servers - single_client_servers
-            if surviving:
-                multi_servers_by_client[client] = (
-                    servers if len(surviving) == len(servers) else surviving
-                )
-        # Under the thread executor, materialise the shared indices before
-        # fanning out so workers read (not race to build) the cached
-        # dicts.  Serial and process runs skip this: serial builds lazily
-        # in order, and process workers re-derive the indices anyway
-        # because HttpTrace pickles without its caches.  (`prepared`'s
-        # set-valued indices were already built by `clients_by_server`
-        # above; the file index is built separately because it is the
-        # only one that parses URIs.)
-        if executor == "thread" and resolve_workers(workers) > 1:
-            _ = prepared.files_by_server
-
-        dimensions = (MAIN_DIMENSION, *config.enabled_secondary_dimensions)
-        signatures: dict[str, str] = {}
-        reused: dict[str, MiningOutcome | None] = {}
-        to_mine: list[str] = []
-        if cache is None:
-            to_mine = list(dimensions)
-        else:
-            for dimension in dimensions:
-                try:
-                    signer = DIMENSION_SIGNATURES[dimension]
-                except KeyError:
-                    raise PipelineError(
-                        f"dimension {dimension!r} has no entry in "
-                        f"DIMENSION_SIGNATURES; register one to make it cacheable"
-                    ) from None
-                signatures[dimension] = signer(prepared, whois, config)
-                hit, outcome = cache.lookup(dimension, signatures[dimension])
-                if hit:
-                    reused[dimension] = outcome
+                    prepared, report, stage_cache, attributes = preprocess_sharded(
+                        trace,
+                        config,
+                        pool,
+                        recorder,
+                        warm=self.shard_workers,
+                        boundaries=shard_boundaries,
+                        spill_dir=spill_dir,
+                        partitions=partitions,
+                        store_root=store_root,
+                        trace_name=trace_name,
+                    )
                 else:
-                    to_mine.append(dimension)
+                    prepared, report = preprocess(trace, config.preprocess)
+                    stage_cache, attributes = {}, {}
+            if recorder.enabled:
+                pre_span.set(
+                    raw_requests=report.raw_requests,
+                    kept_requests=report.kept_requests,
+                    raw_servers=report.raw_servers,
+                    kept_servers=report.kept_servers,
+                    popular_servers_removed=report.popular_servers_removed,
+                    **attributes,
+                )
 
-        # The recorder never ships to workers: it may not survive process
-        # pickling, and worker-side recordings would be lost anyway.  Jobs
-        # measure their own wall time instead (``_timed_job``).
-        job_config = config if config.metrics is None else config.replace(metrics=None)
-        jobs = []
-        for dimension in to_mine:
-            if dimension == MAIN_DIMENSION:
-                jobs.append(
-                    partial(
-                        _mine_main_dimension,
-                        multi_clients_by_server,
-                        multi_servers_by_client,
-                        single_client_servers,
-                        clients_by_server,
-                        job_config,
+            clients_by_server = prepared.clients_by_server
+            single_client_servers = {
+                server
+                for server, clients in clients_by_server.items()
+                if len(clients) == 1
+            }
+            # Multi-client restriction of the two main-dimension indices,
+            # derived by dropping the single-client servers: a server-level
+            # filter cannot change a surviving server's client set, so this
+            # equals (and replaces) materialising a filtered trace.
+            multi_clients_by_server = {
+                server: clients
+                for server, clients in clients_by_server.items()
+                if server not in single_client_servers
+            }
+            multi_servers_by_client: dict[str, frozenset[str]] = {}
+            for client, servers in prepared.servers_by_client.items():
+                surviving = servers - single_client_servers
+                if surviving:
+                    multi_servers_by_client[client] = (
+                        servers if len(surviving) == len(servers) else surviving
                     )
-                )
+            # Under the thread executor, materialise the shared indices
+            # before fanning out so workers read (not race to build) the
+            # cached dicts.  Serial and process runs skip this: serial
+            # builds lazily in order, and process workers re-derive the
+            # indices of an HttpTrace anyway, because it pickles without
+            # its caches (an index-only trace pickles with them).
+            # (`prepared`'s set-valued indices were already built by
+            # `clients_by_server` above; the file index is built separately
+            # because it is the only one that parses URIs.)
+            if pool.parallel and pool.executor == "thread":
+                _ = prepared.files_by_server
+
+            dimensions = (MAIN_DIMENSION, *config.enabled_secondary_dimensions)
+            signatures: dict[str, tuple] = {}
+            reused: dict[str, MiningOutcome | None] = {}
+            to_mine: list[str] = []
+            if cache is None:
+                to_mine = list(dimensions)
             else:
-                jobs.append(
-                    partial(
-                        _mine_secondary_dimension, dimension, prepared, whois, job_config
+                for dimension in dimensions:
+                    try:
+                        signer = DIMENSION_SIGNATURES[dimension]
+                    except KeyError:
+                        raise PipelineError(
+                            f"dimension {dimension!r} has no entry in "
+                            f"DIMENSION_SIGNATURES; register one to make it cacheable"
+                        ) from None
+                    signatures[dimension] = signer(prepared, whois, config)
+                    hit, outcome = cache.lookup(dimension, signatures[dimension])
+                    if hit:
+                        reused[dimension] = outcome
+                    else:
+                        to_mine.append(dimension)
+
+            # The recorder never ships to workers: it may not survive
+            # process pickling, and worker-side recordings would be lost
+            # anyway.  Jobs measure their own wall time instead
+            # (``_timed_job``).
+            job_config = config if config.metrics is None else config.replace(metrics=None)
+            jobs = []
+            for dimension in to_mine:
+                if dimension == MAIN_DIMENSION:
+                    jobs.append(
+                        partial(
+                            _mine_main_dimension,
+                            multi_clients_by_server,
+                            multi_servers_by_client,
+                            single_client_servers,
+                            clients_by_server,
+                            job_config,
+                        )
                     )
-                )
-        with JobPool(workers=workers, executor=executor) as pool:
+                else:
+                    jobs.append(
+                        partial(_mine_secondary_dimension, dimension, prepared, whois, job_config)
+                    )
             if recorder.enabled and jobs:
                 timed = pool.run([partial(_timed_job, job) for job in jobs])
                 outcomes = [outcome for outcome, _ in timed]
@@ -791,6 +739,7 @@ class SmashPipeline:
             span.set(
                 requests=report.kept_requests,
                 servers=report.kept_servers,
+                **attributes,
                 mined_dimensions=list(to_mine),
                 reused_dimensions=[d for d in dimensions if d in reused],
             )
@@ -802,6 +751,7 @@ class SmashPipeline:
             # One interning of the namespace serves every finish() call
             # (run_sweep re-correlates at several thresholds).
             interner=Interner(clients_by_server),
+            stage_cache=stage_cache,
         )
 
     # -- stages 3-5: correlate, prune, infer ----------------------------------------

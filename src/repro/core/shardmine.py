@@ -1,17 +1,18 @@
-"""Sharded map-reduce mining over trace partitions.
+"""Sharded preprocessing: the map half of the mine, over trace partitions.
 
-One :meth:`~repro.core.pipeline.SmashPipeline.mine` call used to hold
-the whole window's trace *and* every per-dimension index and pair
-counter in memory at once, which caps mining at single-host window
-size.  This module rebuilds the mine path as a deterministic two-level
-map-reduce whose peak mining state is bounded by shard size plus merge
-state:
+SMASH preprocesses the trace once and then mines each dimension's herds
+with Louvain.  This module runs the first stage as a deterministic
+map-reduce whose peak state is bounded by shard size plus merge state;
+:meth:`SmashPipeline.mine <repro.core.pipeline.SmashPipeline.mine>` then
+mines the dimensions of the prepared trace it returns exactly as it
+mines a single-pass preprocess — one dimension stage, one cache, one
+result assembly for every mode.
 
-**Map (phase A — index extraction).**  A trace given in memory is cut
-into ``shards`` contiguous slices (day-partition-aligned when the
-streaming window provides boundaries); a store-direct mine maps each
-window partition on its own.  Each map job reads its input's columns,
-applying the same SLD aggregation as :func:`~repro.core.preprocess.preprocess`,
+**Map (index extraction).**  A trace given in memory is cut into
+``shards`` contiguous slices (day-partition-aligned when the streaming
+window provides boundaries); a store-direct mine maps each window
+partition on its own.  Each map job reads its input's columns, applying
+the same SLD aggregation as :func:`~repro.core.preprocess.preprocess`,
 and emits inverted-index partials (clients / IPs / URI files / optional
 parameter patterns and time windows, per server) keyed by the
 **namespace-stable** ids of :class:`~repro.core.interning.StableInterner`
@@ -21,42 +22,18 @@ to a digest-verified :class:`~repro.stream.store.PartialStore`
 immediately, so even a serial map phase never holds more than one
 job's indexes.
 
-**Reduce (merge).**  Partials are merged one at a time in canonical
-order (slice order, or day order): vocabularies union with collision
-detection, index sets union, request counts add.  The IDF/min-clients
-filter runs on the merged client sets, the
+**Reduce (merge and assemble).**  Partials are merged one at a time in
+canonical order (slice order, or day order): vocabularies union with
+collision detection, index sets union, request counts add.  The
+IDF/min-clients filter runs on the merged client sets, the
 :class:`~repro.core.preprocess.PreprocessReport` falls out of the merged
-accounting, and the preprocessed trace is assembled exactly as
-``preprocess()`` builds it — with the merged indexes injected into its
-cache slots, so no downstream consumer re-scans the window to rebuild
-what the map jobs already extracted.  After the merge the surviving
-namespace is re-keyed once into the dense canonical
-:class:`~repro.core.interning.Interner` order (a namespace-sized pass,
-not a trace pass); everything downstream runs in exactly the id domain
-the single-shard mine uses.
-
-**Map (phase C — pair partials).**  On a pool that runs jobs
-concurrently, candidate-pair accumulation — the quadratic heart of
-every dimension — runs partition-parallel: each dimension's sharing
-groups are hash-partitioned into one bucket per pool worker by group
-content, each bucket becomes an
-:func:`~repro.core.interning.accumulate_pair_counts` job on the shared
-:class:`~repro.util.parallel.JobPool`, and the per-bucket counters are
-spilled and merged in bucket order.  Because every group lands in
-exactly one bucket and counter addition is commutative, the merged
-counts — and therefore the built graphs, the Louvain herds, and the
-final campaigns — are **byte-identical to the single-shard mine under
-any ``PYTHONHASHSEED``** (test-enforced in subprocesses).  A pool that
-runs one job at a time gains nothing from buckets, so there the
-builders count pairs in-process, unspilled, exactly as the single pass
-does.  Louvain then fans out per dimension on the same pool.
-
-The splice point is :meth:`SmashPipeline.mine(shards=N)
-<repro.core.pipeline.SmashPipeline.mine>` /
-:class:`~repro.config.SmashConfig` ``shards``; the
-:class:`~repro.core.pipeline.DimensionCache` contract is preserved
-(signatures are computed on the assembled prepared trace, so sharded
-and single-shard mines hit the same cache entries).
+accounting, and the prepared trace is assembled with the merged indexes
+injected into its cache slots, so no downstream consumer re-scans the
+window to rebuild what the map jobs already extracted.  The prepared
+trace equals ``preprocess()``'s index for index, so the mined herds,
+the dimension-cache keys and the final campaigns are **byte-identical
+to the single-pass mine under any ``PYTHONHASHSEED``** (test-enforced in
+subprocesses), and sharded and single-pass mines share cache entries.
 
 **Out-of-core mode** (``SmashConfig.out_of_core``, forced when the mine
 is given partition references instead of a trace) removes the two
@@ -82,21 +59,24 @@ remaining places the coordinator held raw requests:
   settings determine, so its bytes are the same whichever window
   position, mine or process mapped it.
 * **Hollow reduce.**  The merge builds an :class:`IndexOnlyTrace` — the
-  prepared trace's indexes and scalars without its requests.  Reduce-side
-  consumers that genuinely need window-wide request facts get them from
-  small per-shard summaries instead: request counts ride in the partials
-  and the dominant-referrer map (the one ``finish``-stage request scan)
-  is folded from per-partition referrer counters and pre-seeded into
-  ``MinedDimensions.stage_cache``.  Any code path that would actually
-  touch raw requests on the hollow trace raises loudly.
+  prepared trace's indexes and scalars without its requests; it pickles
+  with its indexes, so process-pool dimension jobs can read it.
+  Reduce-side consumers that genuinely need window-wide request facts
+  get them from small per-shard summaries instead: request counts ride
+  in the partials and the dominant-referrer map (the one
+  ``finish``-stage request scan) is folded from per-partition referrer
+  counters and pre-seeded into ``MinedDimensions.stage_cache``.  Any
+  code path that would actually touch raw requests on the hollow trace
+  raises loudly.
 
 **Dispatch seam.**  How map jobs execute is delegated to a
 :class:`~repro.core.dispatch.ShardDispatcher` (``SmashConfig.dispatch``):
-inline on the shared pool (the default), serially in the coordinator, or
-in warm worker subprocesses speaking the store-paths + digests contract a
-remote worker would use (the pipeline's ``shard_workers``, reused across
-its mines).  Reduce, pair accumulation and Louvain always
-run on the coordinator's pool; dispatch only moves the map phase.
+inline on the mine's shared pool (the default), serially in the
+coordinator, or in warm worker subprocesses speaking the store-paths +
+digests contract a remote worker would use (the pipeline's
+``shard_workers``, reused across its mines).  This module builds no
+graph and runs no Louvain: the dimension jobs always run on the
+pipeline's pool, and dispatch only moves the map phase.
 """
 
 from __future__ import annotations
@@ -111,25 +91,12 @@ from functools import partial
 from pathlib import Path
 
 from repro.config import SmashConfig
-from repro.core.ashmining import MiningOutcome, mine_herds
-from repro.core.dimensions.client import build_client_graph_from_indices
+from repro.core.dimensions.timedim import DEFAULT_WINDOW_SECONDS
 from repro.core.dispatch import make_dispatcher
 from repro.core.faults import RetryPolicy, fire_after_spill, fire_before_load
-from repro.core.dimensions.ipset import build_ipset_graph
-from repro.core.dimensions.timedim import DEFAULT_WINDOW_SECONDS, build_time_graph
-from repro.core.dimensions.urifile import build_urifile_graph
-from repro.core.dimensions.urlparam import build_urlparam_graph
-from repro.core.dimensions.whoisdim import build_whois_graph
-from repro.core.interning import (
-    Interner,
-    PairStats,
-    StableInterner,
-    accumulate_pair_counts,
-    resolve_auto_cap,
-)
+from repro.core.interning import StableInterner
 from repro.core.preprocess import PreprocessReport, aggregate_trace
 from repro.core.pruning import referrer_host
-from repro.core.results import MAIN_DIMENSION
 from repro.domains.names import normalize_server_name
 from repro.errors import PipelineError
 from repro.httplog.trace import HttpTrace
@@ -139,11 +106,10 @@ from repro.util.parallel import JobPool
 
 __all__ = [
     "MAP_FORMAT",
-    "mine_sharded",
+    "preprocess_sharded",
     "map_output_key",
     "run_shard_job",
     "IndexOnlyTrace",
-    "ShardedAccumulator",
     "shard_ranges",
 ]
 
@@ -218,7 +184,7 @@ def map_output_key(day: int, digest: str, extraction: dict) -> str:
     return f"day-{day:05d}-{hashlib.sha256(document.encode('utf-8')).hexdigest()[:32]}"
 
 
-# -- phase A: per-job index extraction ----------------------------------------------
+# -- map: per-job index extraction ------------------------------------------------
 
 
 def _resolve_source(spec: dict) -> HttpTrace:
@@ -380,7 +346,7 @@ def run_shard_job(spec: dict) -> dict:
 
 
 class _MergedIndexes:
-    """Reduce-side accumulator for phase-A partials (one at a time)."""
+    """Reduce-side accumulator for map partials (one at a time)."""
 
     def __init__(self) -> None:
         self.vocab = StableInterner()
@@ -418,163 +384,14 @@ class _MergedIndexes:
                 target_entries[landing] = target_entries.get(landing, 0) + int(count)
 
 
-# -- phase C: partition-parallel pair accumulation ----------------------------------
-
-
-def _bucket_of(group: list[int], buckets: int) -> int:
-    """Deterministic, hash-seed-independent bucket of one sharing group."""
-    digest = hashlib.blake2b(",".join(map(str, group)).encode("ascii"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") % buckets
-
-
-def _pair_chunk_job(
-    groups: list[list[int]],
-    width: int,
-    cap: int,
-    spill_root: str,
-    name: str,
-) -> tuple[str, str, int, dict[str, int], float]:
-    """One reduce-input job: accumulate one bucket's pair counts and spill.
-
-    Returns ``(name, digest, spill bytes, stats, seconds)``; the counter
-    itself travels through the :class:`PartialStore`.
-    """
-    tick = time.perf_counter()
-    stats = PairStats()
-    counts = accumulate_pair_counts(groups, width, cap=cap, stats=stats)
-    payload = {
-        "counts": sorted(counts.items()),
-        "stats": stats.to_dict(),
-    }
-    digest, spilled = PartialStore(spill_root).put(name, payload)
-    return name, digest, spilled, stats.to_dict(), time.perf_counter() - tick
-
-
-class ShardedAccumulator:
-    """Drop-in for :func:`~repro.core.interning.accumulate_pair_counts`
-    that fans the quadratic work out over the shared pool.
-
-    Groups are hash-partitioned by content into ``buckets`` chunks; each
-    chunk runs the real accumulator (same cap, its own
-    :class:`~repro.core.interning.PairStats`) and spills its counter;
-    the chunks merge in bucket order.  Every group lands in exactly one
-    bucket and counter addition is commutative, so the merged counts
-    equal the single-pass counts for any bucket assignment — and the
-    folded stats match too (``candidate_pairs`` is recomputed as the
-    merged counter's size, since one pair can surface in several
-    buckets).  The sharded mine builds one only for a pool that runs
-    jobs concurrently, with one bucket per pool worker.
-    """
-
-    def __init__(
-        self,
-        pool: JobPool,
-        buckets: int,
-        spill_root: str | Path,
-        dimension: str,
-        recorder=None,
-    ) -> None:
-        self.pool = pool
-        self.buckets = max(1, buckets)
-        self.spill_root = str(spill_root)
-        self.dimension = dimension
-        self.recorder = recorder
-
-    def __call__(
-        self,
-        groups,
-        width: int,
-        cap: int = 0,
-        stats: PairStats | None = None,
-        auto_cap: int = 0,
-    ) -> Counter[int]:
-        chunks: list[list[list[int]]] = [[] for _ in range(self.buckets)]
-        sizes: list[int] = []
-        for group in groups:
-            members = list(group)
-            sizes.append(len(members))
-            chunks[_bucket_of(members, self.buckets)].append(members)
-        if auto_cap > 0 and not cap:
-            # Same pure function of the full group-size distribution the
-            # single-pass accumulator applies, so the sharded mine makes
-            # the identical capping decision and stays byte-identical.
-            cap = resolve_auto_cap(sizes, cap, auto_cap)
-            if stats is not None:
-                stats.auto_cap = cap
-        jobs = []
-        for bucket, chunk in enumerate(chunks):
-            if not chunk:
-                continue
-            name = f"pairs-{self.dimension}-{bucket:04d}"
-            jobs.append(partial(_pair_chunk_job, chunk, width, cap, self.spill_root, name))
-        results = self.pool.run(jobs)
-
-        merged: Counter[int] = Counter()
-        store = PartialStore(self.spill_root)
-        recorder = self.recorder
-        for name, digest, spilled, chunk_stats, seconds in results:
-            payload = store.load(name, digest)
-            store.delete(name)
-            merged.update(dict(payload["counts"]))
-            if stats is not None:
-                stats.groups += chunk_stats["groups"]
-                stats.skipped_groups += chunk_stats["skipped_groups"]
-                stats.enumerated_pairs += chunk_stats["enumerated_pairs"]
-                if chunk_stats["largest_group"] > stats.largest_group:
-                    stats.largest_group = chunk_stats["largest_group"]
-            if recorder is not None and recorder.enabled:
-                recorder.record_span(
-                    "pipeline.mine.pair_partial",
-                    seconds,
-                    {
-                        "dimension": self.dimension,
-                        "partial": name,
-                        "spill_bytes": spilled,
-                        **chunk_stats,
-                    },
-                )
-                recorder.counter(
-                    "smash_shard_pair_partials_total",
-                    "Pair-count partials accumulated by the sharded mine.",
-                    labels=("dimension",),
-                ).labels(dimension=self.dimension).inc()
-                recorder.counter(
-                    "smash_shard_spill_bytes_total",
-                    "Bytes of sharded-mine partials spilled, by kind.",
-                    labels=("kind",),
-                ).labels(kind="pairs").inc(spilled)
-        if stats is not None:
-            stats.candidate_pairs = len(merged)
-        return merged
-
-
-# -- Louvain jobs (module-level for pickling) ---------------------------------------
-
-
-def _louvain_secondary_job(graph, dimension: str, config: SmashConfig) -> MiningOutcome:
-    return mine_herds(graph, dimension, config.louvain)
-
-
-def _louvain_main_job(
-    graph,
-    single_client_servers: set[str],
-    clients_by_server: dict[str, frozenset[str]],
-    config: SmashConfig,
-) -> MiningOutcome:
-    from repro.core.pipeline import _append_single_client_herds
-
-    main = mine_herds(graph, MAIN_DIMENSION, config.louvain)
-    return _append_single_client_herds(main, single_client_servers, clients_by_server)
-
-
-# -- the sharded mine ---------------------------------------------------------------
+# -- reduce: the prepared trace ----------------------------------------------------
 
 
 class IndexOnlyTrace(HttpTrace):
     """A prepared trace holding inverted indexes but no raw requests.
 
-    The out-of-core reduce builds every per-dimension graph (and every
-    content signature) from the merged shard indexes; the scalar facts
+    An out-of-core mine builds every per-dimension graph (and every
+    dimension-cache key) from the merged shard indexes; the scalar facts
     consumers legitimately need — request count, server namespace — are
     injected.  Any path that would actually read raw requests raises a
     :class:`~repro.errors.PipelineError`: silently iterating an empty
@@ -601,29 +418,39 @@ class IndexOnlyTrace(HttpTrace):
     def __len__(self) -> int:
         return self._num_requests
 
+    def __getstate__(self) -> dict[str, object]:
+        # The injected indexes are this trace's only content, and a
+        # process-pool dimension job cannot rebuild them: pickle them all.
+        return dict(self.__dict__)
+
     @property
     def requests_by_server(self):
         raise self._no_requests()
 
 
-def _assemble_hollow(
+def _assemble(
     merged: _MergedIndexes,
     config: SmashConfig,
-    trace_name: str,
-    want_patterns: bool,
-    want_windows: bool,
-    want_referrers: bool,
-) -> tuple[HttpTrace, PreprocessReport, dict[int, str], dict[str, str]]:
-    """Finish preprocessing without ever materialising the window trace.
+    trace: HttpTrace | None,
+    name: str,
+    extraction: dict,
+) -> tuple[HttpTrace, PreprocessReport, dict[str, str] | None]:
+    """Finish preprocessing from the merged indexes.
 
-    The out-of-core counterpart of :func:`_assemble_prepared`: identical
-    IDF/min-clients filtering on the merged client sets and identical
-    injected indexes, but the prepared trace is an
-    :class:`IndexOnlyTrace` — no request is ever resident in the
-    coordinator.  Also folds the per-shard referrer summaries into the
-    ``dominant_referrers`` map the finish stage would otherwise derive
-    by scanning the prepared trace (same majority rule, same
-    ``most_common`` tie-break via first-seen insertion order).
+    Runs ``preprocess()``'s IDF/min-clients filter on the merged client
+    sets.  With *trace* the prepared trace is the filtered trace
+    ``preprocess()`` builds from it, with identical requests and name;
+    without (a hollow reduce), it is an :class:`IndexOnlyTrace` named
+    after *name*, so no request is ever resident in the coordinator.
+    Either way the merged indexes (and the pattern/window indexes, when
+    their dimensions are enabled) are injected into its cache slots, so
+    no consumer re-scans the window to rebuild what the map jobs
+    extracted.
+
+    Also returns the ``dominant_referrers`` map folded from the per-shard
+    referrer summaries when *extraction* asked for them (same majority
+    rule, same ``most_common`` tie-break via first-seen insertion
+    order), else ``None``.
     """
     pre = config.preprocess
     label_of = merged.vocab.to_dict()
@@ -634,9 +461,20 @@ def _assemble_hollow(
         for sid, label in label_of.items()
         if sid not in popular and sid not in too_rare
     }
-
     kept_requests = sum(merged.counts[sid] for sid in kept)
-    prepared = IndexOnlyTrace(f"{trace_name}:preprocessed", kept_requests)
+
+    if trace is None:
+        prepared: HttpTrace = IndexOnlyTrace(f"{name}:preprocessed", kept_requests)
+    else:
+        removed_labels = {label_of[sid] for sid in popular | too_rare}
+        aggregated = aggregate_trace(trace) if pre.aggregate_second_level else trace
+        prepared = aggregated.filter_servers(
+            lambda server: server not in removed_labels,
+            name=f"{trace.name}:preprocessed",
+        )
+
+    # Iteration order of these dicts never reaches an output (every
+    # consumer sorts), but keep it canonical anyway.
     order = sorted(kept, key=lambda sid: kept[sid])
     clients_by_server = {kept[sid]: frozenset(merged.clients[sid]) for sid in order}
     servers_of: dict[str, set[str]] = defaultdict(set)
@@ -650,22 +488,23 @@ def _assemble_hollow(
         client: frozenset(found) for client, found in servers_of.items()
     }
     prepared._servers = frozenset(clients_by_server)
-    if want_patterns:
+    if extraction["want_patterns"]:
         # Only servers with >= 1 parameterised request, matching
-        # parameter_patterns_by_server's scan output on the kept trace.
+        # parameter_patterns_by_server's scan of the prepared trace.
         prepared._patterns_by_server = {
             kept[sid]: frozenset(merged.patterns[sid])
             for sid in order
             if merged.patterns.get(sid)
         }
-    if want_windows:
+    if extraction["want_windows"]:
         # Every kept server has >= 1 request, hence >= 1 active window.
         prepared._windows_by_server = {
             kept[sid]: frozenset(merged.windows[sid]) for sid in order
         }
 
-    referrer_of: dict[str, str] = {}
-    if want_referrers:
+    referrer_of: dict[str, str] | None = None
+    if extraction["want_referrers"]:
+        referrer_of = {}
         for sid in order:
             entries = merged.referrers.get(sid)
             if not entries:
@@ -682,7 +521,10 @@ def _assemble_hollow(
         raw_requests=merged.requests,
         kept_requests=kept_requests,
     )
-    return prepared, report, kept, referrer_of
+    return prepared, report, referrer_of
+
+
+# -- map: planning and dispatch -----------------------------------------------------
 
 
 def _map_partitions(
@@ -810,169 +652,49 @@ def _record_map_jobs(recorder, results: list[dict], reused: int) -> None:
         ).inc(reused)
 
 
-def _assemble_prepared(
-    trace: HttpTrace,
-    merged: _MergedIndexes,
-    config: SmashConfig,
-) -> tuple[HttpTrace, PreprocessReport, dict[int, str]]:
-    """Finish preprocessing from the merged indexes.
-
-    Builds the same filtered trace ``preprocess()`` builds (identical
-    requests, identical name) and injects the merged inverted indexes
-    into its cache slots, so every downstream consumer reads the
-    shard-extracted data instead of re-scanning the window.  Returns the
-    prepared trace, the report, and the kept ``{stable id: label}``
-    namespace.
-    """
-    pre = config.preprocess
-    label_of = merged.vocab.to_dict()
-    popular = {sid for sid, clients in merged.clients.items() if len(clients) > pre.idf_threshold}
-    too_rare = {sid for sid, clients in merged.clients.items() if len(clients) < pre.min_clients}
-    removed_labels = {label_of[sid] for sid in popular | too_rare}
-    kept = {
-        sid: label
-        for sid, label in label_of.items()
-        if sid not in popular and sid not in too_rare
-    }
-
-    aggregated = aggregate_trace(trace) if pre.aggregate_second_level else trace
-    prepared = aggregated.filter_servers(
-        lambda server: server not in removed_labels,
-        name=f"{trace.name}:preprocessed",
-    )
-
-    # Inject the merged indexes into the prepared trace's cache slots.
-    # Iteration order of these dicts never reaches an output (every
-    # consumer sorts), but keep it canonical anyway.
-    order = sorted(kept, key=lambda sid: kept[sid])
-    clients_by_server = {kept[sid]: frozenset(merged.clients[sid]) for sid in order}
-    servers_of: dict[str, set[str]] = defaultdict(set)
-    for label, clients in clients_by_server.items():
-        for client in clients:
-            servers_of[client].add(label)
-    prepared._clients_by_server = clients_by_server
-    prepared._ips_by_server = {kept[sid]: frozenset(merged.ips[sid]) for sid in order}
-    prepared._files_by_server = {kept[sid]: frozenset(merged.files[sid]) for sid in order}
-    prepared._servers_by_client = {
-        client: frozenset(found) for client, found in servers_of.items()
-    }
-    prepared._servers = frozenset(clients_by_server)
-
-    report = PreprocessReport(
-        raw_servers=len(merged.raw_hosts),
-        aggregated_servers=len(label_of),
-        popular_servers_removed=len(popular),
-        kept_servers=len(kept),
-        raw_requests=merged.requests,
-        kept_requests=sum(merged.counts[sid] for sid in kept),
-    )
-    return prepared, report, kept
-
-
-def _build_secondary_graph(
-    dimension: str,
-    prepared: HttpTrace,
-    whois,
-    config: SmashConfig,
-    accumulate: ShardedAccumulator | None,
-    merged: _MergedIndexes,
-    kept: dict[int, str],
-):
-    """Build one secondary dimension's graph from the merged indexes.
-
-    *accumulate* is the pool's :class:`ShardedAccumulator`, or None for
-    the builders' in-process default.
-    """
-    if dimension == "urifile":
-        return build_urifile_graph(prepared, config.dimensions, accumulate)
-    if dimension == "ipset":
-        return build_ipset_graph(prepared, config.dimensions, accumulate)
-    if dimension == "whois":
-        if whois is None:
-            return None
-        return build_whois_graph(prepared, whois, config.dimensions, accumulate)
-    if dimension == "urlparam":
-        patterns_of = {
-            kept[sid]: frozenset(merged.patterns[sid])
-            for sid in kept
-            if merged.patterns.get(sid)
-        }
-        return build_urlparam_graph(
-            prepared, config.dimensions, accumulate, patterns_of=patterns_of
-        )
-    if dimension == "time":
-        windows_of = {
-            kept[sid]: frozenset(merged.windows[sid])
-            for sid in kept
-            if merged.windows.get(sid)
-        }
-        return build_time_graph(
-            prepared,
-            config.dimensions,
-            accumulate=accumulate,
-            windows_of=windows_of,
-        )
-    # Extension dimensions registered only in SECONDARY_GRAPH_BUILDERS:
-    # fall back to the un-sharded builder (correct, just not fanned out).
-    from repro.core.pipeline import SECONDARY_GRAPH_BUILDERS
-
-    try:
-        builder = SECONDARY_GRAPH_BUILDERS[dimension]
-    except KeyError:  # pragma: no cover - guarded by SmashConfig.validate
-        raise PipelineError(f"unknown dimension {dimension!r}") from None
-    return builder(prepared, whois, config)
-
-
-def mine_sharded(
-    pipeline,
+def preprocess_sharded(
     trace: HttpTrace | None,
-    whois,
     config: SmashConfig,
-    cache,
-    span,
     pool: JobPool,
+    recorder,
+    warm=None,
     boundaries: tuple[int, ...] | None = None,
     spill_dir: str | Path | None = None,
     partitions=None,
     store_root: str | Path | None = None,
     trace_name: str | None = None,
-):
-    """The sharded mine path; see the module docstring.
+) -> tuple[HttpTrace, PreprocessReport, dict, dict[str, object]]:
+    """The sharded preprocess: map, merge, assemble; see the module docstring.
 
-    Returns a :class:`~repro.core.pipeline.MinedDimensions` byte-for-byte
-    equal (in every output-reachable field) to what
-    ``SmashPipeline._mine`` produces on the same inputs.
+    Returns ``(prepared, report, stage_cache, attributes)``: the prepared
+    trace with the merged indexes injected, the
+    :class:`~repro.core.preprocess.PreprocessReport`, the seed of
+    ``MinedDimensions.stage_cache`` (the folded dominant-referrer map of
+    a hollow reduce) and the span attributes describing the map phase.
+    The prepared trace equals, index for index, what ``preprocess()``
+    gives on the same requests.
 
     With *partitions* (``(day, digest)`` references into the store at
     *store_root*) instead of *trace*, map jobs load their own day
     partitions — the coordinator never holds a raw request — and the
-    reduce is forced out-of-core (*boundaries* must then be the per-
-    partition request counts, from the partition manifests).  Only the
-    partitions whose map output the store lacks are mapped, one job
-    each, whatever ``config.shards`` says; spills then go under the
-    store's ``.partials`` unless *spill_dir* says otherwise.  With a
-    *trace*, ``config.shards`` slices it, ``config.out_of_core`` selects
-    the hollow reduce, and ``config.dispatch`` selects how map jobs
-    execute either way.
+    reduce is hollow (*boundaries* must then be the per-partition
+    request counts, from the partition manifests).  Only the partitions
+    whose map output the store lacks are mapped, one job each, whatever
+    ``config.shards`` says; spills then go under the store's
+    ``.partials`` unless *spill_dir* says otherwise.  With a *trace*,
+    ``config.shards`` slices it, ``config.out_of_core`` selects the
+    hollow reduce, and ``config.dispatch`` selects how map jobs execute
+    either way: on *pool*, inline, or in the subprocess workers of
+    *warm* (a :class:`~repro.core.dispatch.ShardWorkers`).
     """
-    from repro.core.pipeline import (
-        DIMENSION_SIGNATURES,
-        MinedDimensions,
-        _record_dimension,
-        _timed_job,
-    )
-
-    recorder = pipeline.metrics
     out_of_core = config.out_of_core or trace is None
-    if trace is None and (not partitions or store_root is None or not boundaries):
-        raise PipelineError(
-            "store-direct mining needs partitions, store_root and "
-            "shard_boundaries when no trace is given"
-        )
-    window_name = trace.name if trace is not None else (trace_name or "trace")
-    want_patterns = "urlparam" in config.enabled_secondary_dimensions
-    want_windows = "time" in config.enabled_secondary_dimensions
-    want_referrers = out_of_core and config.pruning.prune_referrer_groups
+    extraction = {
+        "aggregate": config.preprocess.aggregate_second_level,
+        "want_patterns": "urlparam" in config.enabled_secondary_dimensions,
+        "want_windows": "time" in config.enabled_secondary_dimensions,
+        "want_referrers": out_of_core and config.pruning.prune_referrer_groups,
+        "window_seconds": DEFAULT_WINDOW_SECONDS,
+    }
 
     if spill_dir is None and partitions is not None:
         # Map outputs are renamed from the spill into the store, so spill
@@ -996,198 +718,41 @@ def mine_sharded(
         policy=RetryPolicy.from_config(config),
         plan=config.fault_plan,
         recorder=recorder,
-        warm=pipeline.shard_workers,
+        warm=warm,
     )
     try:
-        # -- phase A + reduce: sharded preprocess ---------------------------------
-        with recorder.span("pipeline.mine.preprocess") as pre_span:
-            extraction = {
-                "aggregate": config.preprocess.aggregate_second_level,
-                "want_patterns": want_patterns,
-                "want_windows": want_windows,
-                "want_referrers": want_referrers,
-                "window_seconds": DEFAULT_WINDOW_SECONDS,
-            }
-            if partitions is not None:
-                results, loads = _map_partitions(
-                    partitions, store_root, boundaries, extraction, spill, dispatcher
-                )
-            else:
-                results, loads = _map_trace(
-                    trace, config.shards, boundaries, extraction, spill, dispatcher
-                )
-            num_shards = len(loads)
-            if recorder.enabled:
-                _record_map_jobs(recorder, results, reused=num_shards - len(results))
-
-            merged = _MergedIndexes()
-            with recorder.span("pipeline.mine.shard_merge") as merge_span:
-                for load in loads:
-                    merged.merge(load())
-            referrer_of: dict[str, str] | None = None
-            if out_of_core:
-                prepared, report, kept, referrer_of = _assemble_hollow(
-                    merged,
-                    config,
-                    window_name,
-                    want_patterns,
-                    want_windows,
-                    want_referrers,
-                )
-            else:
-                prepared, report, kept = _assemble_prepared(trace, merged, config)
-            if recorder.enabled:
-                merge_span.set(
-                    shards=num_shards,
-                    mapped=len(results),
-                    servers=len(merged.vocab),
-                    kept_servers=len(kept),
-                )
-                pre_span.set(
-                    raw_requests=report.raw_requests,
-                    kept_requests=report.kept_requests,
-                    raw_servers=report.raw_servers,
-                    kept_servers=report.kept_servers,
-                    popular_servers_removed=report.popular_servers_removed,
-                    shards=num_shards,
-                    dispatch=dispatcher.kind,
-                    out_of_core=out_of_core,
-                )
-
-        # -- cache lookup (same contract as the single-shard mine) ----------------
-        clients_by_server = prepared.clients_by_server
-        single_client_servers = {
-            server
-            for server, clients in clients_by_server.items()
-            if len(clients) == 1
-        }
-        multi_clients_by_server = {
-            server: clients
-            for server, clients in clients_by_server.items()
-            if server not in single_client_servers
-        }
-        multi_servers_by_client: dict[str, frozenset[str]] = {}
-        for client, servers in prepared.servers_by_client.items():
-            surviving = servers - single_client_servers
-            if surviving:
-                multi_servers_by_client[client] = (
-                    servers if len(surviving) == len(servers) else surviving
-                )
-
-        dimensions = (MAIN_DIMENSION, *config.enabled_secondary_dimensions)
-        signatures: dict[str, str] = {}
-        reused: dict[str, MiningOutcome | None] = {}
-        to_mine: list[str] = []
-        if cache is None:
-            to_mine = list(dimensions)
+        if partitions is not None:
+            results, loads = _map_partitions(
+                partitions, store_root, boundaries, extraction, spill, dispatcher
+            )
         else:
-            for dimension in dimensions:
-                try:
-                    signer = DIMENSION_SIGNATURES[dimension]
-                except KeyError:
-                    raise PipelineError(
-                        f"dimension {dimension!r} has no entry in "
-                        f"DIMENSION_SIGNATURES; register one to make it cacheable"
-                    ) from None
-                signatures[dimension] = signer(prepared, whois, config)
-                hit, outcome = cache.lookup(dimension, signatures[dimension])
-                if hit:
-                    reused[dimension] = outcome
-                else:
-                    to_mine.append(dimension)
-
-        # -- phase C: graphs with partition-parallel pair counting ----------------
-        job_config = config if config.metrics is None else config.replace(metrics=None)
-        graphs: dict[str, object] = {}
-        build_seconds: dict[str, float] = {}
-        for dimension in to_mine:
-            # Buckets only pay on a pool that runs them side by side;
-            # otherwise the builders count pairs in-process, unspilled.
-            accumulate = (
-                ShardedAccumulator(
-                    pool, pool.workers, spill_root, dimension, recorder=recorder
-                )
-                if pool.parallel
-                else None
+            results, loads = _map_trace(
+                trace, config.shards, boundaries, extraction, spill, dispatcher
             )
-            tick = time.perf_counter()
-            if dimension == MAIN_DIMENSION:
-                graphs[dimension] = build_client_graph_from_indices(
-                    multi_clients_by_server,
-                    multi_servers_by_client,
-                    config.dimensions,
-                    accumulate,
-                )
-            else:
-                graphs[dimension] = _build_secondary_graph(
-                    dimension, prepared, whois, job_config, accumulate, merged, kept
-                )
-            build_seconds[dimension] = time.perf_counter() - tick
-
-        # -- Louvain fan-out on the same pool -------------------------------------
-        louvain_jobs = []
-        louvain_dimensions = []
-        for dimension in to_mine:
-            graph = graphs[dimension]
-            if graph is None:
-                continue
-            louvain_dimensions.append(dimension)
-            if dimension == MAIN_DIMENSION:
-                job = partial(
-                    _louvain_main_job,
-                    graph,
-                    single_client_servers,
-                    clients_by_server,
-                    job_config,
-                )
-            else:
-                job = partial(_louvain_secondary_job, graph, dimension, job_config)
-            louvain_jobs.append(partial(_timed_job, job))
-        timed = pool.run(louvain_jobs)
-
-        mined_now: dict[str, MiningOutcome | None] = {dimension: None for dimension in to_mine}
-        for dimension, (outcome, seconds) in zip(louvain_dimensions, timed):
-            mined_now[dimension] = outcome
-            if recorder.enabled:
-                _record_dimension(recorder, dimension, outcome, build_seconds[dimension] + seconds)
         if recorder.enabled:
-            for dimension in to_mine:
-                if dimension not in louvain_dimensions:
-                    _record_dimension(recorder, dimension, None, build_seconds[dimension])
+            _record_map_jobs(recorder, results, reused=len(loads) - len(results))
 
-        if cache is not None:
-            for dimension in to_mine:
-                cache.update(dimension, signatures[dimension], mined_now[dimension])
-            cache.last_reused = tuple(d for d in dimensions if d in reused)
-            cache.last_mined = tuple(to_mine)
-
-        main = reused[MAIN_DIMENSION] if MAIN_DIMENSION in reused else mined_now[MAIN_DIMENSION]
-        assert main is not None  # the main-dimension job never returns None
-        secondary: dict[str, MiningOutcome] = {}
-        for dimension in config.enabled_secondary_dimensions:
-            outcome = reused[dimension] if dimension in reused else mined_now[dimension]
-            if outcome is not None:
-                secondary[dimension] = outcome
-        if recorder.enabled:
-            span.set(
-                requests=report.kept_requests,
-                servers=report.kept_servers,
-                shards=num_shards,
-                dispatch=dispatcher.kind,
-                out_of_core=out_of_core,
-                mined_dimensions=list(to_mine),
-                reused_dimensions=[d for d in dimensions if d in reused],
-            )
-        return MinedDimensions(
-            trace=prepared,
-            preprocess_report=report,
-            main=main,
-            secondary=secondary,
-            interner=Interner(clients_by_server),
-            stage_cache=(
-                {"dominant_referrers": referrer_of} if referrer_of is not None else {}
-            ),
+        merged = _MergedIndexes()
+        with recorder.span("pipeline.mine.shard_merge") as merge_span:
+            for load in loads:
+                merged.merge(load())
+        prepared, report, referrer_of = _assemble(
+            merged,
+            config,
+            None if out_of_core else trace,
+            trace.name if trace is not None else (trace_name or "trace"),
+            extraction,
         )
+        if recorder.enabled:
+            merge_span.set(
+                shards=len(loads),
+                mapped=len(results),
+                servers=len(merged.vocab),
+                kept_servers=report.kept_servers,
+            )
     finally:
         dispatcher.close()
         spill.cleanup()
+    stage_cache = {} if referrer_of is None else {"dominant_referrers": referrer_of}
+    attributes = {"shards": len(loads), "dispatch": dispatcher.kind, "out_of_core": out_of_core}
+    return prepared, report, stage_cache, attributes

@@ -373,7 +373,7 @@ class StreamingSmash:
         With ``config.shards > 1`` the mine receives the window's per-day
         request counts as shard boundaries (shard cuts land on stored
         partition edges) and, when a trace store is attached, spills its
-        index/pair partials under the store's ``.partials`` directory
+        index partials under the store's ``.partials`` directory
         instead of a process-private tempdir.
 
         With ``config.out_of_core`` (*combined_trace* is ``None``) the

@@ -50,8 +50,8 @@ extraction settings, with the sha256 of the file's bytes in its name:
 a window advance maps only the entering day and merges the stored
 outputs of the others.  :class:`PartialStore` applies the same
 digest-verified contract to the sharded mine's transient spill files
-(per-job index partials, per-bucket pair-count partials) under
-``<store>/.partials`` — or any scratch directory when no store is
+(per-job index partials, and the input slices handed to out-of-process
+map jobs) under ``<store>/.partials`` — or any scratch directory when no store is
 attached.
 """
 
@@ -530,7 +530,7 @@ class PartialStore:
     """Digest-verified spill directory for sharded-mine partials.
 
     The sharded mine bounds its peak memory by writing each map-phase
-    partial (a shard's inverted indexes, a bucket's pair counts) to disk
+    partial (a shard's inverted indexes) to disk
     as soon as it is produced and merging them back one at a time.  Each
     partial is one JSON file addressed by name; :meth:`put` returns the
     payload's sha256 digest and :meth:`load` recomputes and compares it,

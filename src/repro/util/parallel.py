@@ -17,8 +17,8 @@ results **in job order**, on one of three executors:
 
 :class:`JobPool` is the multi-batch form: one pool instance survives
 several ``run`` calls, so a mine that fans out more than once (per-shard
-indexing, per-dimension pair partials, Louvain) pays the pool start-up
-cost once instead of once per batch.
+indexing, then the per-dimension build + Louvain jobs) pays the pool
+start-up cost once instead of once per batch.
 
 Because the mining core is deterministic by construction (canonical node
 order, sorted adjacency, seeded Louvain shuffle), every executor produces
@@ -72,8 +72,8 @@ class JobPool:
     ``run_jobs`` used to spin a fresh pool up for every batch, which made
     the process executor pay its interpreter-spawn cost once *per batch*
     (PR 2 measured it at 0.25x on small jobs).  A ``JobPool`` is created
-    once per mine and reused across the per-shard index fan-out, the
-    per-dimension pair-partial fan-out and the Louvain fan-out — the
+    once per mine and reused across the per-shard index fan-out and the
+    per-dimension mining fan-out — the
     underlying pool is started lazily on the first batch that actually
     needs it and lives until :meth:`close`.
 

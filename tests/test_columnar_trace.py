@@ -460,10 +460,16 @@ def test_the_counter_sees_on_demand_records(records_built, days):
     assert len(days[0].trace.requests) == len(records_built) > 0
 
 
-def test_batch_pipeline_builds_no_records(records_built, days, tmp_path):
+@pytest.mark.parametrize(
+    "dimensions",
+    [SmashConfig().enabled_secondary_dimensions, ("urifile", "ipset", "whois", "urlparam", "time")],
+    ids=["default", "all-five"],
+)
+def test_batch_pipeline_builds_no_records(records_built, days, tmp_path, dimensions):
     day = days[0]
     write_jsonl(day.trace, tmp_path / "trace.jsonl")
-    result = SmashPipeline().run(
+    config = SmashConfig(enabled_secondary_dimensions=dimensions)
+    result = SmashPipeline(config).run(
         read_jsonl(tmp_path / "trace.jsonl"), whois=day.whois, redirects=day.redirects
     )
     assert result.campaigns

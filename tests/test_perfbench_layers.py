@@ -4,7 +4,8 @@
 its traced run and silently skips names that no longer resolve, so a
 rename would only show up as lower ``trace.coverage`` in a benchmark
 run.  This test loads the tracer's tables by path and fails on the
-rename instead.
+rename instead.  A name removed on purpose is listed in ``REMOVED`` and
+must no longer resolve.
 """
 
 from __future__ import annotations
@@ -27,14 +28,30 @@ def _load_layers():
 
 _layers = _load_layers()
 
+#: Functions the tracer's table still names but the program removed on
+#: purpose: the sharded mine's pair-bucket job went with the bucketed
+#: pair counting.  The tracer skips them until its table drops them.
+REMOVED = (("repro.core.shardmine", "_pair_chunk_job"),)
+
+TRACED = [(module, name) for module, name, _ in _layers.FUNCTIONS if (module, name) not in REMOVED]
+
 
 @pytest.mark.parametrize(
     "module_name, name",
-    [(module, name) for module, name, _ in _layers.FUNCTIONS],
-    ids=[f"{module}.{name}" for module, name, _ in _layers.FUNCTIONS],
+    TRACED,
+    ids=[f"{module}.{name}" for module, name in TRACED],
 )
 def test_traced_function_resolves(module_name, name):
     assert callable(getattr(importlib.import_module(module_name), name, None))
+
+
+@pytest.mark.parametrize(
+    "module_name, name",
+    REMOVED,
+    ids=[f"{module}.{name}" for module, name in REMOVED],
+)
+def test_removed_function_no_longer_resolves(module_name, name):
+    assert getattr(importlib.import_module(module_name), name, None) is None
 
 
 @pytest.mark.parametrize(

@@ -1,15 +1,15 @@
-"""Sharded map-reduce mine == single-shard mine, byte for byte (PR 7).
+"""Sharded map-reduce mine == single-shard mine, byte for byte.
 
-The mine path gained a shard-parallel mode (:mod:`repro.core.shardmine`):
+The mine path has a shard-parallel preprocess (:mod:`repro.core.shardmine`):
 per-shard index extraction against the namespace-stable
-:class:`~repro.core.interning.StableInterner`, spill-to-store partials,
-and partition-parallel pair counting, merged deterministically into the
-existing graph → Louvain → correlate path.  The mode's contract is that
-``--shards N`` output is **byte-identical** to the single-shard mine for
-every shard count and every ``PYTHONHASHSEED`` — the in-process classes
-below pin each mechanism (shard planning, stable interning, spill
-verification, bucketed pair accumulation, prepared-trace assembly), and
-the subprocess matrix at the bottom enforces the end-to-end property the
+:class:`~repro.core.interning.StableInterner` and spill-to-store
+partials, merged deterministically into the prepared trace that the
+pipeline's one dimension stage (graph → Louvain) mines.  The mode's
+contract is that ``--shards N`` output is **byte-identical** to the
+single-shard mine for every shard count and every ``PYTHONHASHSEED`` —
+the in-process classes below pin each mechanism (shard planning, stable
+interning, spill verification, prepared-trace assembly), and the
+subprocess matrix at the bottom enforces the end-to-end property the
 way :mod:`tests.test_determinism` does for the single-shard core.
 """
 
@@ -20,26 +20,14 @@ import os
 import subprocess
 import sys
 
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.config import SmashConfig
-from repro.core.interning import (
-    PairStats,
-    StableInterner,
-    accumulate_pair_counts,
-    stable_label_id,
-)
+from repro.core.interning import StableInterner, stable_label_id
 from repro.core.pipeline import DimensionCache, SmashPipeline
-from repro.core.preprocess import preprocess
-from repro.core.shardmine import (
-    IndexOnlyTrace,
-    ShardedAccumulator,
-    run_shard_job,
-    shard_ranges,
-)
+from repro.core.shardmine import IndexOnlyTrace, run_shard_job, shard_ranges
 from repro.errors import ConfigError, PipelineError, StreamError
 from repro.eval.export import result_to_dict
 from repro.stream import StreamingSmash
@@ -59,12 +47,6 @@ HASH_SEEDS = (1, 2, 3)
 @pytest.fixture(scope="module")
 def dataset():
     return TraceGenerator(small_scenario(seed=7)).generate_day(0)
-
-
-@pytest.fixture(scope="module")
-def prepared(dataset):
-    trace, _ = preprocess(dataset.trace)
-    return trace
 
 
 def result_doc(result) -> str:
@@ -205,89 +187,6 @@ class TestJobPool:
     def test_empty_batch(self):
         with JobPool(workers=2, executor="thread") as pool:
             assert pool.run([]) == []
-
-
-# -- partition-parallel pair counting -----------------------------------------------
-
-
-class TestShardedAccumulator:
-    GROUPS = [
-        [0, 1, 2],
-        [1, 2, 3, 4],
-        [0, 4],
-        [2],
-        [0, 1, 2, 3, 4, 5],
-        [3, 5],
-        [1, 4, 5],
-    ]
-    WIDTH = 6
-
-    def _sharded(self, buckets: int, cap: int, tmp_path) -> tuple[Counter, PairStats]:
-        stats = PairStats()
-        with JobPool(workers=1) as pool:
-            accumulate = ShardedAccumulator(pool, buckets, tmp_path / "spill", "client")
-            counts = accumulate(self.GROUPS, self.WIDTH, cap=cap, stats=stats)
-        return counts, stats
-
-    @pytest.mark.parametrize("buckets", [1, 3, 7])
-    def test_counts_and_stats_match_single_pass(self, buckets, tmp_path):
-        expected_stats = PairStats()
-        expected = accumulate_pair_counts(self.GROUPS, self.WIDTH, stats=expected_stats)
-        counts, stats = self._sharded(buckets, 0, tmp_path)
-        assert counts == expected
-        assert stats == expected_stats
-
-    def test_cap_applies_identically(self, tmp_path):
-        expected_stats = PairStats()
-        expected = accumulate_pair_counts(self.GROUPS, self.WIDTH, cap=3, stats=expected_stats)
-        counts, stats = self._sharded(3, 3, tmp_path)
-        assert counts == expected
-        assert stats == expected_stats
-        assert stats.skipped_groups > 0  # the cap actually gated groups
-
-    def test_partials_deleted_after_merge(self, tmp_path):
-        self._sharded(3, 0, tmp_path)
-        assert list((tmp_path / "spill").iterdir()) == []
-
-
-# -- per-dimension graph equality ---------------------------------------------------
-
-
-class TestSecondaryGraphEquality:
-    """Each builder mines the identical topology under a sharded
-    accumulator — the per-dimension half of the byte-identity contract."""
-
-    @pytest.mark.parametrize("dimension", ["urifile", "ipset", "whois"])
-    def test_default_dimensions(self, dimension, prepared, dataset, tmp_path):
-        from repro.core.dimensions.ipset import build_ipset_graph
-        from repro.core.dimensions.urifile import build_urifile_graph
-        from repro.core.dimensions.whoisdim import build_whois_graph
-
-        with JobPool(workers=1) as pool:
-            accumulate = ShardedAccumulator(pool, 3, tmp_path / "spill", dimension)
-            if dimension == "urifile":
-                sharded = build_urifile_graph(prepared, accumulate=accumulate)
-                plain = build_urifile_graph(prepared)
-            elif dimension == "ipset":
-                sharded = build_ipset_graph(prepared, accumulate=accumulate)
-                plain = build_ipset_graph(prepared)
-            else:
-                sharded = build_whois_graph(prepared, dataset.whois, accumulate=accumulate)
-                plain = build_whois_graph(prepared, dataset.whois)
-        assert sharded == plain
-        assert sharded.nodes == plain.nodes  # same canonical order
-
-    def test_optin_dimensions(self, prepared, tmp_path):
-        from repro.core.dimensions.timedim import build_time_graph
-        from repro.core.dimensions.urlparam import build_urlparam_graph
-
-        with JobPool(workers=1) as pool:
-            for dimension, builder in (
-                ("urlparam", build_urlparam_graph),
-                ("time", build_time_graph),
-            ):
-                accumulate = ShardedAccumulator(pool, 3, tmp_path / "spill", dimension)
-                assert builder(prepared, accumulate=accumulate) == builder(prepared)
 
 
 # -- mine / run equivalence ---------------------------------------------------------
