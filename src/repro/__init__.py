@@ -37,35 +37,7 @@ Packages:
   :mod:`repro.domains` — substrates.
 """
 
-from repro.config import (
-    CorrelationConfig,
-    DimensionConfig,
-    LouvainConfig,
-    PreprocessConfig,
-    PruningConfig,
-    SmashConfig,
-)
-from repro.core import Campaign, Herd, SmashPipeline, SmashResult
-from repro.errors import (
-    CheckpointError,
-    ConfigError,
-    GraphError,
-    GroundTruthError,
-    ObsError,
-    PipelineError,
-    ReproError,
-    ScenarioError,
-    StreamError,
-    TraceError,
-)
-from repro.stream import (
-    CampaignTracker,
-    RollingWindow,
-    StreamingSmash,
-    StreamUpdate,
-    TrackedCampaign,
-    TrackerConfig,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -98,3 +70,38 @@ __all__ = [
     "TrackerConfig",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.config": (
+            "CorrelationConfig",
+            "DimensionConfig",
+            "LouvainConfig",
+            "PreprocessConfig",
+            "PruningConfig",
+            "SmashConfig",
+        ),
+        "repro.core": ("Campaign", "Herd", "SmashPipeline", "SmashResult"),
+        "repro.errors": (
+            "CheckpointError",
+            "ConfigError",
+            "GraphError",
+            "GroundTruthError",
+            "ObsError",
+            "PipelineError",
+            "ReproError",
+            "ScenarioError",
+            "StreamError",
+            "TraceError",
+        ),
+        "repro.stream": (
+            "CampaignTracker",
+            "RollingWindow",
+            "StreamingSmash",
+            "StreamUpdate",
+            "TrackedCampaign",
+            "TrackerConfig",
+        ),
+    },
+)

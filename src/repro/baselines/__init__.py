@@ -11,10 +11,7 @@
   features miss compromised benign servers (Section V-D1).
 """
 
-from repro.baselines.ids_only import IdsOnlyDetector
-from repro.baselines.blacklist_only import BlacklistOnlyDetector
-from repro.baselines.client_clustering import ClientClusteringDetector
-from repro.baselines.domain_reputation import DomainReputationDetector
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BlacklistOnlyDetector",
@@ -22,3 +19,13 @@ __all__ = [
     "DomainReputationDetector",
     "IdsOnlyDetector",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.baselines.ids_only": ("IdsOnlyDetector",),
+        "repro.baselines.blacklist_only": ("BlacklistOnlyDetector",),
+        "repro.baselines.client_clustering": ("ClientClusteringDetector",),
+        "repro.baselines.domain_reputation": ("DomainReputationDetector",),
+    },
+)

@@ -8,9 +8,7 @@ The pipeline (Figure 2) is::
 Entry point: :class:`repro.core.pipeline.SmashPipeline`.
 """
 
-from repro.core.results import Campaign, CandidateAsh, Herd, SmashResult
-from repro.core.interning import Interner
-from repro.core.pipeline import SmashPipeline
+from repro._lazy import lazy_exports
 from repro.core.preprocess import PreprocessReport, preprocess
 
 __all__ = [
@@ -23,3 +21,12 @@ __all__ = [
     "SmashResult",
     "preprocess",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.results": ("Campaign", "CandidateAsh", "Herd", "SmashResult"),
+        "repro.core.interning": ("Interner",),
+        "repro.core.pipeline": ("SmashPipeline",),
+    },
+)

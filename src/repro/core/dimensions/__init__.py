@@ -13,10 +13,7 @@ paper describes ("SMASH, as an extensible system, can easily incorporate
 new dimensions").
 """
 
-from repro.core.dimensions.client import build_client_graph
-from repro.core.dimensions.ipset import build_ipset_graph
-from repro.core.dimensions.urifile import build_urifile_graph, file_similarity
-from repro.core.dimensions.whoisdim import build_whois_graph, whois_similarity
+from repro._lazy import lazy_exports
 
 __all__ = [
     "build_client_graph",
@@ -28,6 +25,16 @@ __all__ = [
     "whois_similarity",
 ]
 
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.dimensions.client": ("build_client_graph",),
+        "repro.core.dimensions.ipset": ("build_ipset_graph",),
+        "repro.core.dimensions.urifile": ("build_urifile_graph", "file_similarity"),
+        "repro.core.dimensions.whoisdim": ("build_whois_graph", "whois_similarity"),
+    },
+)
+
 
 def secondary_builders() -> dict[str, object]:
     """Name -> builder for the built-in secondary dimensions.
@@ -35,6 +42,10 @@ def secondary_builders() -> dict[str, object]:
     Builders share the signature ``(trace, config, *, whois=None)`` except
     where noted; :class:`repro.core.pipeline.SmashPipeline` adapts them.
     """
+    from repro.core.dimensions.ipset import build_ipset_graph
+    from repro.core.dimensions.urifile import build_urifile_graph
+    from repro.core.dimensions.whoisdim import build_whois_graph
+
     return {
         "urifile": build_urifile_graph,
         "ipset": build_ipset_graph,

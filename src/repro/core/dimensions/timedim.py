@@ -26,7 +26,6 @@ from collections import defaultdict
 
 from repro.config import DimensionConfig
 from repro.core.interning import PairStats, accumulate_pair_counts, add_overlap_edges
-from repro.graph.csr import new_graph
 from repro.graph.wgraph import WeightedGraph
 from repro.httplog.trace import HttpTrace
 
@@ -37,17 +36,24 @@ DEFAULT_WINDOW_SECONDS = 600.0
 def active_windows_by_server(
     trace: HttpTrace, window_seconds: float = DEFAULT_WINDOW_SECONDS
 ) -> dict[str, frozenset[int]]:
-    """server -> set of window indices in which it received requests."""
+    """server -> set of window indices in which it received requests.
+
+    At the default width the index is built once per trace and kept on
+    it like the trace's own indexes, so the dimension cache's key and the
+    graph builder read one object; a trace prepared by the sharded
+    preprocess arrives with it injected.  Any other width scans the
+    requests (and an index-only trace fails loudly on their absence).
+    """
     if window_seconds <= 0:
         raise ValueError("window_seconds must be > 0")
-    # A trace prepared by the sharded preprocess carries the shard-merged
-    # window index, computed at the default width; honour it only for
-    # that width, so a caller asking for another width scans the requests
-    # (and an index-only trace fails loudly on their absence).
-    if window_seconds == DEFAULT_WINDOW_SECONDS:
-        injected = getattr(trace, "_windows_by_server", None)
-        if injected is not None:
-            return injected
+    if window_seconds != DEFAULT_WINDOW_SECONDS:
+        return _scan_windows(trace, window_seconds)
+    if trace._windows_by_server is None:
+        trace._windows_by_server = _scan_windows(trace, window_seconds)
+    return trace._windows_by_server
+
+
+def _scan_windows(trace: HttpTrace, window_seconds: float) -> dict[str, frozenset[int]]:
     windows: dict[str, set[int]] = defaultdict(set)
     for host, stamp in zip(trace.column("host"), trace.column("timestamp")):
         windows[host].add(int(stamp // window_seconds))
@@ -60,6 +66,10 @@ def build_time_graph(
     window_seconds: float = DEFAULT_WINDOW_SECONDS,
 ) -> WeightedGraph:
     """Build the temporal co-occurrence graph for *trace*."""
+    # Deferred (it loads numpy): shard map jobs import this module for
+    # its window width and build no graph.
+    from repro.graph.csr import new_graph
+
     config = config or DimensionConfig()
     windows_of = active_windows_by_server(trace, window_seconds)
     # Canonical node order: trace.servers is a frozenset, so iterating it

@@ -41,23 +41,26 @@ Pattern = tuple[str, ...]
 
 
 def parameter_patterns_by_server(trace: HttpTrace) -> dict[str, frozenset[Pattern]]:
-    """server -> set of sorted query-parameter-name tuples observed."""
-    # A trace prepared by the sharded preprocess carries the shard-merged
-    # pattern index (an index-only trace has no requests to scan).
-    injected = getattr(trace, "_patterns_by_server", None)
-    if injected is not None:
-        return injected
-    # Each distinct (host, URI) pair is visited once, in first-seen
-    # order, and each distinct URI parsed once.
-    patterns: dict[str, set[Pattern]] = defaultdict(set)
-    names_of: dict[str, Pattern] = {}
-    for host, uri in dict.fromkeys(zip(trace.column("host"), trace.column("uri"))):
-        names = names_of.get(uri)
-        if names is None:
-            names = names_of[uri] = query_parameter_names(uri)
-        if names:
-            patterns[host].add(names)
-    return {server: frozenset(found) for server, found in patterns.items()}
+    """server -> set of sorted query-parameter-name tuples observed.
+
+    Built once per trace and kept on it like the trace's own indexes, so
+    the dimension cache's key and the graph builder read one object.  A
+    trace prepared by the sharded preprocess arrives with it injected (an
+    index-only trace has no requests to scan).
+    """
+    if trace._patterns_by_server is None:
+        # Each distinct (host, URI) pair is visited once, in first-seen
+        # order, and each distinct URI parsed once.
+        patterns: dict[str, set[Pattern]] = defaultdict(set)
+        names_of: dict[str, Pattern] = {}
+        for host, uri in dict.fromkeys(zip(trace.column("host"), trace.column("uri"))):
+            names = names_of.get(uri)
+            if names is None:
+                names = names_of[uri] = query_parameter_names(uri)
+            if names:
+                patterns[host].add(names)
+        trace._patterns_by_server = {server: frozenset(found) for server, found in patterns.items()}
+    return trace._patterns_by_server
 
 
 def build_urlparam_graph(trace: HttpTrace, config: DimensionConfig | None = None) -> WeightedGraph:

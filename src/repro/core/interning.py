@@ -32,7 +32,6 @@ from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.errors import PipelineError
-from repro.graph.csr import np as _np
 from repro.graph.wgraph import node_sort_key
 
 Label = Hashable
@@ -387,6 +386,8 @@ def overlap_ratio_edge_arrays(
     correction — a set intersection per affected pair — stays a python
     loop, masked down to pairs where both endpoints carry heavy sets.
     """
+    import numpy as _np  # only CSR graphs, which need numpy, take this path
+
     count = len(pair_common)
     keys = _np.fromiter(pair_common.keys(), dtype=_np.int64, count=count)
     common = _np.fromiter(pair_common.values(), dtype=_np.int64, count=count)
@@ -430,7 +431,7 @@ def add_overlap_edges(
     order, same bits either way.
     """
     fast = getattr(graph, "add_sorted_edge_arrays", None)
-    if fast is not None and _np is not None and pair_common:
+    if fast is not None and pair_common:
         fast(*overlap_ratio_edge_arrays(pair_common, width, sizes, floor, heavy_sets))
     else:
         graph.add_sorted_edges(

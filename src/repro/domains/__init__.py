@@ -1,11 +1,6 @@
 """Domain-name substrate: public-suffix handling and SLD aggregation."""
 
-from repro.domains.publicsuffix import PublicSuffixList, DEFAULT_SUFFIXES
-from repro.domains.names import (
-    is_ip_address,
-    normalize_server_name,
-    second_level_domain,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_SUFFIXES",
@@ -14,3 +9,11 @@ __all__ = [
     "normalize_server_name",
     "second_level_domain",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.domains.publicsuffix": ("PublicSuffixList", "DEFAULT_SUFFIXES"),
+        "repro.domains.names": ("is_ip_address", "normalize_server_name", "second_level_domain"),
+    },
+)

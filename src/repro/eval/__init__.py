@@ -2,20 +2,7 @@
 table/figure series of Section V, and streaming reformulations of the
 week-long experiments (:mod:`repro.eval.streaming`)."""
 
-from repro.eval.verification import (
-    CampaignVerdict,
-    ServerLabel,
-    VerificationSummary,
-    Verifier,
-)
-from repro.eval.alerts import alert_quality, planted_campaign_servers
-from repro.eval.experiments import ExperimentRunner
-from repro.eval.streaming import (
-    campaign_lifetimes,
-    daily_tracking_summary,
-    fig7_streaming,
-    stream_week,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CampaignVerdict",
@@ -30,3 +17,23 @@ __all__ = [
     "planted_campaign_servers",
     "stream_week",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.eval.verification": (
+            "CampaignVerdict",
+            "ServerLabel",
+            "VerificationSummary",
+            "Verifier",
+        ),
+        "repro.eval.alerts": ("alert_quality", "planted_campaign_servers"),
+        "repro.eval.experiments": ("ExperimentRunner",),
+        "repro.eval.streaming": (
+            "campaign_lifetimes",
+            "daily_tracking_summary",
+            "fig7_streaming",
+            "stream_week",
+        ),
+    },
+)

@@ -7,11 +7,8 @@ when numpy is available).  They produce byte-identical pipeline output;
 :func:`new_graph` picks one from the ``use_csr`` config flag.
 """
 
-from repro.graph.wgraph import WeightedGraph
-from repro.graph.csr import HAVE_NUMPY, CsrGraph, new_graph, resolve_use_csr
+from repro._lazy import lazy_exports
 from repro.graph.modularity import modularity
-from repro.graph.louvain import LouvainResult, louvain_communities
-from repro.graph.components import connected_components
 
 __all__ = [
     "HAVE_NUMPY",
@@ -24,3 +21,13 @@ __all__ = [
     "new_graph",
     "resolve_use_csr",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.graph.wgraph": ("WeightedGraph",),
+        "repro.graph.csr": ("HAVE_NUMPY", "CsrGraph", "new_graph", "resolve_use_csr"),
+        "repro.graph.louvain": ("LouvainResult", "louvain_communities"),
+        "repro.graph.components": ("connected_components",),
+    },
+)

@@ -1,18 +1,22 @@
-"""Build and load the compiled Louvain kernel (``_louvain_kernel.c``).
+"""Build and load the compiled kernels: one library for both C sources.
 
-:mod:`repro.graph.louvain` imports this module on its first run over a
-CSR graph, never at ``import repro``.  The first :func:`load` compiles
-the C source with the system C compiler (``cc``, else ``gcc``) into
-this package's ``__pycache__/``, under a name keyed by a hash of the
-source, the flags and the compiler, then loads it through ctypes; later
-calls and later processes reuse that file.  The compiler writes to a
-unique temporary name that ``os.replace`` then moves into place, so
-processes racing on a fresh checkout (test subprocesses, shard workers)
-each load a complete library.
+The library holds the Louvain kernel (``_louvain_kernel.c``, driven by
+:mod:`repro.graph.louvain`) and the JSONL decoder
+(``repro/httplog/_jsonl_kernel.c``, driven by
+:mod:`repro.httplog.loader`).  Each imports this module on its first
+use, never at ``import repro``.  The first :func:`load` compiles both
+sources with the system C compiler (``cc``, else ``gcc``) into this
+package's ``__pycache__/``, under a name keyed by a hash of the
+sources, the flags and the compiler, then loads it through ctypes;
+later calls and later processes, for either kernel, reuse that file.
+The compiler writes to a unique temporary name that ``os.replace`` then
+moves into place, so processes racing on a fresh checkout (test
+subprocesses, shard workers) each load a complete library.
 
 When the compiler is missing or the build or load fails, :func:`load`
 logs one warning and returns ``None`` for the rest of the process;
-Louvain then runs the pure-Python reference, whose output is identical.
+Louvain then runs the pure-Python reference and the loader its regex
+loop, whose outputs are identical.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from pathlib import Path
 _LOGGER = logging.getLogger("repro.graph.kernel")
 
 SOURCE = Path(__file__).with_name("_louvain_kernel.c")
+DECODER_SOURCE = Path(__file__).parent.parent / "httplog" / "_jsonl_kernel.c"
 
 #: ``-ffp-contract=off`` keeps every multiply and add separately rounded,
 #: as in Python; ``-ffast-math`` must never be added (it reassociates).
@@ -42,14 +47,16 @@ _loaded: list = []
 
 
 class KernelUnavailable(Exception):
-    """The kernel could not be compiled or loaded."""
+    """The kernels could not be compiled or loaded."""
 
 
 def _library_path(compiler: str) -> Path:
-    """Where the library built from the current source by *compiler* lives."""
-    digest = hashlib.sha256(SOURCE.read_bytes())
+    """Where the library built from the current sources by *compiler* lives."""
+    digest = hashlib.sha256()
+    for source in (SOURCE, DECODER_SOURCE):
+        digest.update(hashlib.sha256(source.read_bytes()).digest())
     digest.update("\0".join((*FLAGS, compiler, platform.machine())).encode())
-    return SOURCE.parent / "__pycache__" / f"{SOURCE.stem}.{digest.hexdigest()[:16]}.so"
+    return SOURCE.parent / "__pycache__" / f"_kernels.{digest.hexdigest()[:16]}.so"
 
 
 def _build(compiler: str, target: Path) -> None:
@@ -57,7 +64,7 @@ def _build(compiler: str, target: Path) -> None:
     temporary = target.with_name(f"{target.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         completed = subprocess.run(
-            [compiler, *FLAGS, "-o", str(temporary), str(SOURCE)],
+            [compiler, *FLAGS, "-o", str(temporary), str(SOURCE), str(DECODER_SOURCE)],
             capture_output=True,
             text=True,
             timeout=_BUILD_TIMEOUT_S,
@@ -83,6 +90,25 @@ def _open(path: Path):
     library.louvain_sweep.argtypes = (i64,) + (ptr,) * 7 + (f64, f64, f64) + (ptr,) * 3
     library.louvain_aggregate.restype = i64
     library.louvain_aggregate.argtypes = (i64,) + (ptr,) * 5 + (i64,) + (ptr,) * 11
+    library.jsonl_scan.restype = i64
+    library.jsonl_scan.argtypes = (
+        ctypes.c_char_p,  # data
+        i64,  # start
+        i64,  # end
+        i64,  # row_cap
+        ptr,  # ids
+        ptr,  # status
+        i64,  # table_size
+        ptr,  # table
+        ptr,  # entries
+        ptr,  # text
+        i64,  # text_cap
+        ptr,  # stamps
+        i64,  # stamp_cap
+        i64,  # flag_cap
+        ptr,  # flags
+        ptr,  # counts
+    )
     return library
 
 
@@ -97,7 +123,7 @@ def _build_and_open():
 
 
 def load():
-    """The kernel's ctypes library, or ``None`` if it cannot be had."""
+    """The kernels' ctypes library, or ``None`` if it cannot be had."""
     if not _loaded:
         with _lock:
             if not _loaded:
@@ -105,8 +131,8 @@ def load():
                     library = _build_and_open()
                 except (KernelUnavailable, OSError, subprocess.SubprocessError) as exc:
                     _LOGGER.warning(
-                        "compiled Louvain kernel unavailable, running the "
-                        "pure-Python reference: %s",
+                        "compiled kernels unavailable, running the pure-Python "
+                        "reference (Louvain) and the regex loop (JSONL loader): %s",
                         exc,
                     )
                     library = None

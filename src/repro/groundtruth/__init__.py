@@ -5,9 +5,7 @@ generations, 2012 and 2013) and the online blacklist ecosystem used in
 Section IV-B to verify SMASH's inferences.
 """
 
-from repro.groundtruth.labels import Signature, ThreatLabel
-from repro.groundtruth.ids import SignatureIds
-from repro.groundtruth.blacklist import BlacklistAggregator, BlacklistService
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BlacklistAggregator",
@@ -16,3 +14,12 @@ __all__ = [
     "SignatureIds",
     "ThreatLabel",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.groundtruth.labels": ("Signature", "ThreatLabel"),
+        "repro.groundtruth.ids": ("SignatureIds",),
+        "repro.groundtruth.blacklist": ("BlacklistAggregator", "BlacklistService"),
+    },
+)

@@ -1,9 +1,6 @@
 """HTTP-log substrate: request records, URI parsing, trace containers."""
 
-from repro.httplog.records import HttpRequest
-from repro.httplog.trace import HttpTrace, TraceStats
-from repro.httplog.uri import split_uri, uri_file
-from repro.httplog.loader import read_jsonl, write_jsonl
+from repro._lazy import lazy_exports
 
 __all__ = [
     "HttpRequest",
@@ -14,3 +11,13 @@ __all__ = [
     "uri_file",
     "write_jsonl",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.httplog.records": ("HttpRequest",),
+        "repro.httplog.trace": ("HttpTrace", "TraceStats"),
+        "repro.httplog.uri": ("split_uri", "uri_file"),
+        "repro.httplog.loader": ("read_jsonl", "write_jsonl"),
+    },
+)

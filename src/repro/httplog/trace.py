@@ -99,6 +99,10 @@ class HttpTrace:
         self._requests_by_server: dict[str, tuple[HttpRequest, ...]] | None = None
         self._servers_by_client: dict[str, frozenset[str]] | None = None
         self._servers: frozenset[str] | None = None
+        # The urlparam and time dimensions' indexes, kept here by
+        # ``parameter_patterns_by_server`` and ``active_windows_by_server``.
+        self._patterns_by_server: dict[str, frozenset[tuple[str, ...]]] | None = None
+        self._windows_by_server: dict[str, frozenset[int]] | None = None
 
     # -- basic container protocol -------------------------------------------------
 
@@ -135,6 +139,8 @@ class HttpTrace:
             "_requests_by_server",
             "_servers_by_client",
             "_servers",
+            "_patterns_by_server",
+            "_windows_by_server",
         ):
             state[key] = None
         return state

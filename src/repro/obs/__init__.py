@@ -4,26 +4,7 @@ See :mod:`repro.obs.metrics` for the recording model and
 :mod:`repro.obs.export` for the Prometheus / JSONL snapshot formats.
 """
 
-from repro.obs.export import (
-    PROMETHEUS_CONTENT_TYPE,
-    parse_prometheus_text,
-    read_snapshot,
-    serve_prometheus_once,
-    snapshot_lines,
-    to_prometheus_text,
-    write_prometheus,
-    write_snapshot,
-)
-from repro.obs.logsetup import JsonLogFormatter, configure_logging
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    NULL_RECORDER,
-    MetricFamily,
-    MetricsRegistry,
-    NullRecorder,
-    Span,
-)
-from repro.obs.report import detect_format, render_stats
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
@@ -45,3 +26,29 @@ __all__ = [
     "write_prometheus",
     "write_snapshot",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.export": (
+            "PROMETHEUS_CONTENT_TYPE",
+            "parse_prometheus_text",
+            "read_snapshot",
+            "serve_prometheus_once",
+            "snapshot_lines",
+            "to_prometheus_text",
+            "write_prometheus",
+            "write_snapshot",
+        ),
+        "repro.obs.logsetup": ("JsonLogFormatter", "configure_logging"),
+        "repro.obs.metrics": (
+            "DEFAULT_LATENCY_BUCKETS",
+            "NULL_RECORDER",
+            "MetricFamily",
+            "MetricsRegistry",
+            "NullRecorder",
+            "Span",
+        ),
+        "repro.obs.report": ("detect_format", "render_stats"),
+    },
+)

@@ -40,33 +40,7 @@ Quick start::
         print(update.day, update.num_campaigns, [c.uid for c in update.active])
 """
 
-from repro.stream.alerts import AlertSink, CallbackSink, ConsoleSink, JsonlSink, ListSink
-from repro.stream.checkpoint import CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
-from repro.stream.engine import StreamingSmash, StreamUpdate
-from repro.stream.scoring import (
-    SEVERITIES,
-    SEVERITY_RANK,
-    AlertPolicy,
-    BlacklistEvidence,
-    CampaignScorer,
-    EvidenceSource,
-    IdsEvidence,
-    RiskFeatures,
-    ScorerConfig,
-    StaticEvidence,
-    scenario_evidence,
-    scenario_ids_evidence,
-    severity_at_least,
-)
-from repro.stream.store import PartitionRef, TraceStore, partition_digest
-from repro.stream.tracker import (
-    CampaignTracker,
-    TrackedCampaign,
-    TrackerConfig,
-    TrackEvent,
-    jaccard,
-)
-from repro.stream.window import DayPartition, RollingWindow
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AlertPolicy",
@@ -103,3 +77,42 @@ __all__ = [
     "scenario_ids_evidence",
     "severity_at_least",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.stream.alerts": (
+            "AlertSink",
+            "CallbackSink",
+            "ConsoleSink",
+            "JsonlSink",
+            "ListSink",
+        ),
+        "repro.stream.checkpoint": ("CHECKPOINT_VERSION", "load_checkpoint", "save_checkpoint"),
+        "repro.stream.engine": ("StreamingSmash", "StreamUpdate"),
+        "repro.stream.scoring": (
+            "SEVERITIES",
+            "SEVERITY_RANK",
+            "AlertPolicy",
+            "BlacklistEvidence",
+            "CampaignScorer",
+            "EvidenceSource",
+            "IdsEvidence",
+            "RiskFeatures",
+            "ScorerConfig",
+            "StaticEvidence",
+            "scenario_evidence",
+            "scenario_ids_evidence",
+            "severity_at_least",
+        ),
+        "repro.stream.store": ("PartitionRef", "TraceStore", "partition_digest"),
+        "repro.stream.tracker": (
+            "CampaignTracker",
+            "TrackedCampaign",
+            "TrackerConfig",
+            "TrackEvent",
+            "jaccard",
+        ),
+        "repro.stream.window": ("DayPartition", "RollingWindow"),
+    },
+)

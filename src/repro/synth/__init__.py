@@ -14,17 +14,7 @@ Entry points:
 * :class:`repro.synth.generator.TraceGenerator` — build custom scenarios.
 """
 
-from repro.synth.campaigns import CampaignSpec, TierSpec
-from repro.synth.generator import SyntheticDataset, TraceGenerator
-from repro.synth.oracles import HostLiveness, RedirectOracle
-from repro.synth.scenario_spec import ScenarioSpec
-from repro.synth.scenarios import (
-    data2011day,
-    data2012day,
-    data2012week,
-    small_scenario,
-)
-from repro.synth.truth import GroundTruth, PlantedCampaign
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CampaignSpec",
@@ -41,3 +31,15 @@ __all__ = [
     "data2012week",
     "small_scenario",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.synth.campaigns": ("CampaignSpec", "TierSpec"),
+        "repro.synth.generator": ("SyntheticDataset", "TraceGenerator"),
+        "repro.synth.oracles": ("HostLiveness", "RedirectOracle"),
+        "repro.synth.scenario_spec": ("ScenarioSpec",),
+        "repro.synth.scenarios": ("data2011day", "data2012day", "data2012week", "small_scenario"),
+        "repro.synth.truth": ("GroundTruth", "PlantedCampaign"),
+    },
+)

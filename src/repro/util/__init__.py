@@ -1,9 +1,6 @@
 """Small shared utilities: text vectors, statistics, RNG, task execution."""
 
-from repro.util.text import charset_cosine, charset_vector
-from repro.util.stats import ecdf, percentile_of, summarize
-from repro.util.rng import child_rng, make_rng
-from repro.util.parallel import EXECUTOR_KINDS, resolve_workers, run_jobs
+from repro._lazy import lazy_exports
 
 __all__ = [
     "EXECUTOR_KINDS",
@@ -17,3 +14,13 @@ __all__ = [
     "run_jobs",
     "summarize",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.util.text": ("charset_cosine", "charset_vector"),
+        "repro.util.stats": ("ecdf", "percentile_of", "summarize"),
+        "repro.util.rng": ("child_rng", "make_rng"),
+        "repro.util.parallel": ("EXECUTOR_KINDS", "resolve_workers", "run_jobs"),
+    },
+)

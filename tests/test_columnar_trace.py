@@ -27,6 +27,8 @@ from hypothesis import strategies as st
 from repro.config import SmashConfig
 from repro.core.pipeline import SmashPipeline
 from repro.errors import StreamError, TraceError
+from repro.graph import _kernel
+from repro.httplog import loader
 from repro.httplog.loader import read_jsonl, write_jsonl
 from repro.httplog.records import FIELDS, HttpRequest, record_dict
 from repro.httplog.trace import HttpTrace
@@ -224,7 +226,34 @@ ACCEPTED = {
 }
 
 
+def deferring_only_failures(regex_lines):
+    """*regex_lines*, made to fail when it decodes an input without error.
+
+    The kernel path hands an input to the regex loop only when a line
+    fails, so the loop must then fail too: a return means the kernel
+    gave up on a valid input.
+    """
+
+    def checked(*args):
+        trace = regex_lines(*args)
+        raise AssertionError(f"the kernel path gave up on a valid input ({len(trace)} records)")
+
+    return checked
+
+
 class TestLoaderEquivalence:
+    @pytest.fixture(autouse=True, scope="class", params=["kernel", "regex"])
+    def decoder(self, request):
+        """Every case runs on the compiled kernel and on the regex fallback."""
+        with pytest.MonkeyPatch.context() as patch:
+            if request.param == "regex":
+                patch.setattr(_kernel, "_loaded", [None])
+            elif _kernel.load() is None:
+                pytest.skip("the compiled JSONL decoder needs a C compiler on PATH")
+            else:
+                patch.setattr(loader, "_regex_lines", deferring_only_failures(loader._regex_lines))
+            yield request.param
+
     @seed(20150629)
     @settings(max_examples=80, deadline=None, database=None)
     @given(_RECORDS)

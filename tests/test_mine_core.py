@@ -18,7 +18,8 @@ import pickle
 import pytest
 
 from repro.config import SmashConfig
-from repro.core.pipeline import SmashPipeline
+from repro.core.dimensions import timedim, urlparam
+from repro.core.pipeline import DimensionCache, SmashPipeline
 from repro.core.results import MAIN_DIMENSION
 from repro.core.shardmine import IndexOnlyTrace
 from repro.eval.export import result_to_dict
@@ -97,6 +98,35 @@ class TestHollowTraceOnProcessPool:
             result = pipeline.finish(mined, redirects=side_redirects)
         assert isinstance(mined.trace, IndexOnlyTrace)
         assert _doc(result) == _doc(expected)
+
+
+def test_cached_one_pass_mine_builds_each_index_once(three_days, monkeypatch):
+    """The cache key and the urlparam/time builders read one memoised index."""
+    day = three_days[0]
+    config = SmashConfig(enabled_secondary_dimensions=ALL_DIMENSIONS)
+    uncached = SmashPipeline(config).mine(day.trace, whois=day.whois)
+    parsed: list[str] = []
+    scans: list[float] = []
+    parse, scan = urlparam.query_parameter_names, timedim._scan_windows
+
+    def counting_parse(uri: str) -> tuple[str, ...]:
+        parsed.append(uri)
+        return parse(uri)
+
+    def counting_scan(trace, window_seconds: float) -> dict:
+        scans.append(window_seconds)
+        return scan(trace, window_seconds)
+
+    monkeypatch.setattr(urlparam, "query_parameter_names", counting_parse)
+    monkeypatch.setattr(timedim, "_scan_windows", counting_scan)
+    cache = DimensionCache()
+    cached = SmashPipeline(config).mine(day.trace, whois=day.whois, cache=cache)
+    assert set(cache.last_mined) == {MAIN_DIMENSION, *ALL_DIMENSIONS}
+    assert sorted(parsed) == sorted(set(cached.trace.column("uri")))
+    assert scans == [timedim.DEFAULT_WINDOW_SECONDS]
+    assert cached.main == uncached.main
+    assert cached.secondary == uncached.secondary
+    assert cached.trace == uncached.trace
 
 
 class TestCacheOnStoredWindows:
