@@ -20,10 +20,14 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    # The compiled kernels (Louvain, JSONL decoder) ship as C source;
-    # repro.graph._kernel builds both into one library with the system C
-    # compiler on first use.
-    package_data={"repro.graph": ["_louvain_kernel.c"], "repro.httplog": ["_jsonl_kernel.c"]},
+    # The compiled kernels (Louvain, JSONL decoder, pair counter) ship as
+    # C source; repro.graph._kernel builds the three into one library
+    # with the system C compiler on first use.
+    package_data={
+        "repro.core": ["_pairs_kernel.c"],
+        "repro.graph": ["_louvain_kernel.c"],
+        "repro.httplog": ["_jsonl_kernel.c"],
+    },
     python_requires=">=3.10",
     extras_require={
         # The CSR graph fast path (repro.graph.csr) and with it the

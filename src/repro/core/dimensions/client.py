@@ -5,10 +5,11 @@
 Two servers are similar when their shared clients are important to *both*
 of them.  The graph is built from the client -> servers inverted index:
 server ids are interned once (dense ints in canonical order), each
-client's server set becomes an ascending id group, and shared-client
-counts are accumulated per pair (:func:`accumulate_pair_counts`) — the
-numerator of eq. 1 falls out arithmetically, with no per-pair set
-intersections and no per-group candidate materialisation.  The popular
+client's server set becomes an ascending id group, and the shared-client
+count of every co-occurring pair comes out in pair order
+(:func:`sorted_pair_counts`, compiled for CSR graphs) — the numerator of
+eq. 1 falls out arithmetically, with no per-pair set intersections and
+no per-group candidate materialisation.  The popular
 servers that would create quadratic blow-ups were removed by the IDF
 filter; ``config.max_group_size`` (off by default) additionally gates
 pathologically busy clients.
@@ -17,7 +18,7 @@ pathologically busy clients.
 from __future__ import annotations
 
 from repro.config import DimensionConfig
-from repro.core.interning import PairStats, accumulate_pair_counts, add_overlap_edges
+from repro.core.interning import PairStats, add_overlap_edges, sorted_pair_counts
 from repro.graph.csr import new_graph
 from repro.graph.wgraph import WeightedGraph
 from repro.httplog.trace import HttpTrace
@@ -60,16 +61,12 @@ def build_client_graph_from_indices(
         for servers in servers_by_client.values()
     ]
     stats = PairStats()
-    pair_common = accumulate_pair_counts(
-        groups,
-        width,
-        cap=config.max_group_size,
-        stats=stats,
-        auto_cap=config.auto_cap_pairs,
+    pairs = sorted_pair_counts(
+        groups, width, config.max_group_size, stats, config.auto_cap_pairs, graph
     )
 
     floor = max(config.min_edge_weight, config.client_min_edge_weight)
-    add_overlap_edges(graph, pair_common, width, sizes, floor)
+    add_overlap_edges(graph, pairs, width, sizes, floor)
     graph.build_stats = {"dimension": "client", **stats.to_dict()}
     return graph
 

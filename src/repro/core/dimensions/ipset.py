@@ -8,8 +8,9 @@ IP-literal "server" has itself as its IP set, so a fluxed domain herd and
 the raw IP it hides behind associate naturally.
 
 Server ids are interned once; each IP's posting list becomes an ascending
-id group and shared-IP counts accumulate per pair, which *is* the eq.-8
-numerator — no candidate-pair set, no per-pair set intersections.  A
+id group and :func:`sorted_pair_counts` gives every pair's shared-IP
+count in pair order, which *is* the eq.-8 numerator — no candidate-pair
+set, no per-pair set intersections.  A
 popular shared IP is this dimension's heavy hitter; ``config.max_group_size``
 (off by default) bounds it deterministically.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.config import DimensionConfig
-from repro.core.interning import PairStats, accumulate_pair_counts, add_overlap_edges
+from repro.core.interning import PairStats, add_overlap_edges, sorted_pair_counts
 from repro.graph.csr import new_graph
 from repro.graph.wgraph import WeightedGraph
 from repro.httplog.trace import HttpTrace
@@ -43,14 +44,15 @@ def build_ipset_graph(trace: HttpTrace, config: DimensionConfig | None = None) -
             ids_by_ip[ip].append(server_id)
 
     stats = PairStats()
-    pair_common = accumulate_pair_counts(
-        (sorted(group) for group in ids_by_ip.values()),
+    pairs = sorted_pair_counts(
+        [sorted(group) for group in ids_by_ip.values()],
         width,
-        cap=config.max_group_size,
-        stats=stats,
-        auto_cap=config.auto_cap_pairs,
+        config.max_group_size,
+        stats,
+        config.auto_cap_pairs,
+        graph,
     )
 
-    add_overlap_edges(graph, pair_common, width, sizes, config.min_edge_weight)
+    add_overlap_edges(graph, pairs, width, sizes, config.min_edge_weight)
     graph.build_stats = {"dimension": "ipset", **stats.to_dict()}
     return graph

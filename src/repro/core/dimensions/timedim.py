@@ -11,10 +11,10 @@ time windows, take each server's set of active windows, and score a pair
 by the overlap-ratio product (eq.-1 form).  Windows containing a large
 share of all servers (global rush hours) never generate candidate pairs,
 mirroring the IDF rule, but still count toward the overlap of pairs
-found through quieter windows.  Candidates come from interned-id pair
-accumulation over the quiet windows' posting lists; the rush-hour
-remainder is added back per pair, reproducing the full-set overlap
-exactly.
+found through quieter windows.  Candidates and their counts come from
+:func:`sorted_pair_counts` over the quiet windows' posting lists,
+already in pair order; the rush-hour remainder is added back per pair
+(:func:`heavy_overlap`), reproducing the full-set overlap exactly.
 
 Disabled by default; enable via
 ``SmashConfig(enabled_secondary_dimensions=(..., "time"))``.
@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.config import DimensionConfig
-from repro.core.interning import PairStats, accumulate_pair_counts, add_overlap_edges
+from repro.core.interning import PairStats, add_overlap_edges, heavy_overlap, sorted_pair_counts
 from repro.graph.wgraph import WeightedGraph
 from repro.httplog.trace import HttpTrace
 
@@ -98,12 +98,8 @@ def build_time_graph(
             quiet_groups.append(sorted(members))
 
     stats = PairStats()
-    pair_common = accumulate_pair_counts(
-        quiet_groups,
-        width,
-        cap=config.max_group_size,
-        stats=stats,
-        auto_cap=config.auto_cap_pairs,
+    pairs = sorted_pair_counts(
+        quiet_groups, width, config.max_group_size, stats, config.auto_cap_pairs, graph
     )
 
     heavy_sets: dict[int, frozenset[int]] = {
@@ -113,7 +109,13 @@ def build_time_graph(
         index[server]: len(windows) for server, windows in windows_of.items()
     }
     add_overlap_edges(
-        graph, pair_common, width, sizes, config.min_edge_weight, heavy_sets
+        graph,
+        pairs,
+        width,
+        sizes,
+        config.min_edge_weight,
+        heavy_sets,
+        heavy_overlap(heavy_sets, sizes),
     )
     graph.build_stats = {
         "dimension": "time",

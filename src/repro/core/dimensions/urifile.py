@@ -22,20 +22,27 @@ Implementation notes
   and are excluded from *candidate generation* and from the per-server
   file inventories used in eq. 7; without this, the inverted index would
   enumerate O(N^2) benign pairs.
-* Candidate pairs come from interned-id pair accumulation over the
-  short-name posting lists and the long-name cosine families (union-find
-  over matches); a filename shared below the ubiquity threshold is this
-  dimension's heavy hitter, gated by ``config.max_group_size`` (off by
-  default).
+* Candidate pairs and their counts come from :func:`sorted_pair_counts`
+  over the short-name posting lists and the long-name cosine families
+  (union-find over matches), already in pair order; a filename shared
+  below the ubiquity threshold is this dimension's heavy hitter, gated by
+  ``config.max_group_size`` (off by default).
+* A family group holds only servers with long names, so when at most
+  one server of a pair has any and no group was skipped, the pair's
+  count is ``|short_a ∩ short_b|``, the matched count in both directions,
+  and eq. 7 is the overlap-ratio form ``(c/|Fa|) * (c/|Fb|)``, computed
+  vectorised.  Only pairs where both servers have long names (every pair,
+  once a cap skipped a group) take the per-pair matching.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Collection
 from itertools import chain, combinations
 
 from repro.config import DimensionConfig
-from repro.core.interning import PairStats, accumulate_pair_counts
+from repro.core.interning import PairStats, add_overlap_edges, sorted_pair_counts
 from repro.graph.csr import new_graph
 from repro.graph.wgraph import WeightedGraph
 from repro.httplog.trace import HttpTrace
@@ -164,15 +171,13 @@ def build_urifile_graph(trace: HttpTrace, config: DimensionConfig | None = None)
         families[find(name)].update(long_names[name])
 
     stats = PairStats()
-    pair_common = accumulate_pair_counts(
-        chain(
-            (sorted(group) for group in ids_by_file.values()),
-            (sorted(group) for group in families.values()),
-        ),
+    pairs = sorted_pair_counts(
+        [sorted(group) for group in chain(ids_by_file.values(), families.values())],
         width,
-        cap=config.max_group_size,
-        stats=stats,
-        auto_cap=config.auto_cap_pairs,
+        config.max_group_size,
+        stats,
+        config.auto_cap_pairs,
+        graph,
     )
 
     # Per-server eq.-7 inputs, split once instead of once per pair.
@@ -210,22 +215,24 @@ def build_urifile_graph(trace: HttpTrace, config: DimensionConfig | None = None)
                 matched += 1
         return matched / total
 
-    floor = config.min_edge_weight
+    def eq7(first_id: int, second_id: int, _count: int) -> float:
+        short_a, long_a, total_a = split_of[first_id]
+        short_b, long_b, total_b = split_of[second_id]
+        # eq. 7 with the same matched counts file_similarity computes;
+        # only the cosine verdicts come from the precomputed table.
+        return directed(short_a, long_a, short_b, long_b, total_a) * directed(
+            short_b, long_b, short_a, long_a, total_b
+        )
 
-    def edges():
-        for key in sorted(pair_common):
-            first_id, second_id = divmod(key, width)
-            short_a, long_a, total_a = split_of[first_id]
-            short_b, long_b, total_b = split_of[second_id]
-            # eq. 7 with the same matched counts file_similarity computes;
-            # only the cosine verdicts come from the precomputed table.
-            weight = directed(short_a, long_a, short_b, long_b, total_a) * directed(
-                short_b, long_b, short_a, long_a, total_b
-            )
-            if weight >= floor:
-                yield first_id, second_id, weight
-
-    graph.add_sorted_edges(edges())
+    # A pair's count is its matched count in both directions unless both
+    # servers have long names, or a cap skipped a group: those pairs take
+    # eq7, the rest the overlap-ratio form with the file totals.
+    if stats.skipped_groups:
+        per_pair: Collection[int] = range(width)
+    else:
+        per_pair = {server_id for server_id, split in split_of.items() if split[1]}
+    totals = [len(effective[server]) for server in ordered]
+    add_overlap_edges(graph, pairs, width, totals, config.min_edge_weight, per_pair, eq7)
     graph.build_stats = {
         "dimension": "urifile",
         "ubiquitous_files": len(ubiquitous),

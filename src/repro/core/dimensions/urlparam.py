@@ -19,10 +19,11 @@ system; enable with::
 Ubiquitous patterns (single generic names like ``("id",)`` appearing on a
 large share of servers) never *generate* candidate pairs, mirroring the
 URI-file dimension's ubiquity rule, but they still count toward the
-overlap of pairs found through rarer patterns.  Candidate pairs come
-from interned-id pair accumulation over the rare patterns' posting
-lists; the ubiquitous remainder of each overlap is added back per pair
-from the (tiny) per-server ubiquitous-pattern sets, reproducing the
+overlap of pairs found through rarer patterns.  Candidate pairs and
+their counts come from :func:`sorted_pair_counts` over the rare
+patterns' posting lists, already in pair order; the ubiquitous remainder
+of each overlap is added back per pair from the (tiny) per-server
+ubiquitous-pattern sets (:func:`heavy_overlap`), reproducing the
 full-set overlap exactly.
 """
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.config import DimensionConfig
-from repro.core.interning import PairStats, accumulate_pair_counts, add_overlap_edges
+from repro.core.interning import PairStats, add_overlap_edges, heavy_overlap, sorted_pair_counts
 from repro.graph.csr import new_graph
 from repro.graph.wgraph import WeightedGraph
 from repro.httplog.trace import HttpTrace
@@ -98,12 +99,8 @@ def build_urlparam_graph(trace: HttpTrace, config: DimensionConfig | None = None
             rare_groups.append(sorted(members))
 
     stats = PairStats()
-    pair_common = accumulate_pair_counts(
-        rare_groups,
-        width,
-        cap=config.max_group_size,
-        stats=stats,
-        auto_cap=config.auto_cap_pairs,
+    pairs = sorted_pair_counts(
+        rare_groups, width, config.max_group_size, stats, config.auto_cap_pairs, graph
     )
 
     heavy_sets: dict[int, frozenset[int]] = {
@@ -113,7 +110,13 @@ def build_urlparam_graph(trace: HttpTrace, config: DimensionConfig | None = None
         index[server]: len(patterns) for server, patterns in patterns_of.items()
     }
     add_overlap_edges(
-        graph, pair_common, width, sizes, config.min_edge_weight, heavy_sets
+        graph,
+        pairs,
+        width,
+        sizes,
+        config.min_edge_weight,
+        heavy_sets,
+        heavy_overlap(heavy_sets, sizes),
     )
     graph.build_stats = {
         "dimension": "urlparam",

@@ -15,9 +15,10 @@ domains never associate on the proxy's identity.
 
 IP-literal servers have no registration and never join this graph.
 
-Candidate pairs come from interned-id pair accumulation over the
-``(field, value)`` posting lists; similarity is still computed per pair
-from the two records (a handful of field comparisons).
+Candidate pairs come from :func:`sorted_pair_counts` over the
+``(field, value)`` posting lists, already in pair order; similarity is
+still computed per pair from the two records (a handful of field
+comparisons).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.config import DimensionConfig
-from repro.core.interning import PairStats, accumulate_pair_counts
+from repro.core.interning import PairStats, sorted_pair_counts
 from repro.graph.csr import new_graph
 from repro.graph.wgraph import WeightedGraph
 from repro.httplog.trace import HttpTrace
@@ -120,16 +121,15 @@ def build_whois_graph(
     cap = config.max_group_size
     effective_cap = min(cap, _MAX_POSTING_LIST) if cap else _MAX_POSTING_LIST
     stats = PairStats()
-    pair_common = accumulate_pair_counts(
-        postings.values(), width, cap=effective_cap, stats=stats
+    firsts, seconds, _ = sorted_pair_counts(
+        postings.values(), width, effective_cap, stats, graph=graph
     )
 
     floor = max(config.min_edge_weight, 1e-12)
     min_shared = config.whois_min_shared_fields
 
     def edges():
-        for key in sorted(pair_common):
-            first, second = divmod(key, width)
+        for first, second in zip(firsts, seconds):
             weight = _similarity_from_fields(
                 fields_of[first], fields_of[second], min_shared
             )

@@ -10,11 +10,14 @@ module is the substrate of the interned rewrite:
   canonical label iteration the deterministic core already used — outputs
   stay byte-identical while every hot set operation moves from strings to
   small ints;
-* :func:`accumulate_pair_counts` turns the per-sharing-group
-  ``itertools.combinations`` pattern into inverted-index pair-weight
-  accumulation: co-occurrence counts are accumulated directly into a flat
-  ``packed-pair -> count`` map (C-speed ``Counter.update``), producing the
-  identical edge set without materialising per-group candidate tuples.
+* :func:`sorted_pair_counts` turns the per-sharing-group
+  ``itertools.combinations`` pattern into the co-occurrence counts of
+  every server pair, already in the ascending pair order the graph
+  builders load edges in.  For CSR-backed graphs they come from
+  ``_pairs_kernel.c``, Gustavson's row-by-row sparse product with a
+  dense accumulator; :func:`accumulate_pair_counts`, which accumulates a
+  flat ``packed-pair -> count`` map with ``Counter.update``, is the
+  reference, and the pure-python path and the no-compiler fallback.
 
 Heavy-hitter groups (a popular shared IP, a common URI filename) still
 cost O(group**2) co-occurrences; the ``cap`` argument — wired to
@@ -26,9 +29,18 @@ cost exactly like the existing ubiquity/posting-list rules.
 from __future__ import annotations
 
 import hashlib
-
+from array import array
 from collections import Counter
-from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import (
+    Callable,
+    Collection,
+    Container,
+    Hashable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Sequence,
+)
 from dataclasses import dataclass
 
 from repro.errors import PipelineError
@@ -209,7 +221,8 @@ class StableInterner:
 
 @dataclass
 class PairStats:
-    """Accounting of one :func:`accumulate_pair_counts` run.
+    """Accounting of one :func:`accumulate_pair_counts` or
+    :func:`sorted_pair_counts` run (the same on both of its paths).
 
     ``enumerated_pairs`` counts pair co-occurrences actually walked (the
     quadratic cost the cap bounds); ``candidate_pairs`` the distinct
@@ -336,74 +349,174 @@ def accumulate_pair_counts(
     return counts
 
 
-_NO_HEAVY: frozenset[int] = frozenset()
+#: Pairs the first kernel call may emit before its buffers grow.
+_FIRST_BLOCK = 1 << 16
+
+_REFUSALS = {
+    -1: "bad sizes or capacities",
+    -2: "offsets that do not bound the ids",
+    -3: "an id outside [0, width)",
+    -4: "a group that is not strictly ascending",
+}
+
+#: ``(firsts, seconds, counts)``: pair ``t`` is ``firsts[t] < seconds[t]``,
+#: held together by ``counts[t]`` groups; ascending in ``(first, second)``.
+SortedPairs = tuple[array, array, array]
+
+
+def sorted_pair_counts(
+    groups: Iterable[Sequence[int]],
+    width: int,
+    cap: int = 0,
+    stats: PairStats | None = None,
+    auto_cap: int = 0,
+    graph=None,
+) -> SortedPairs:
+    """Every co-occurring pair of *groups* with its count, in pair order.
+
+    The same pairs and counts as :func:`accumulate_pair_counts` (same
+    *cap*, *auto_cap* and *stats*), as three ``array('q')`` sorted by
+    ``(first, second)`` — the order ``add_sorted_edges`` needs.  When
+    *graph*, the graph being built, is CSR-backed and the compiled
+    kernels load, ``_pairs_kernel.c`` computes them and
+    ``graph.pair_kernel`` is set; otherwise the ``Counter`` reference
+    does, sorted into the same arrays.  Groups must be ascending and
+    inside ``[0, width)``; the kernel refuses any that are not with
+    :class:`~repro.errors.PipelineError`.
+    """
+    groups = groups if isinstance(groups, (list, tuple)) else list(groups)
+    library = None
+    if hasattr(graph, "add_sorted_edge_arrays"):
+        from repro.graph import _kernel  # deferred: nothing loads at import
+
+        library = _kernel.load()
+    if library is None:
+        counts = accumulate_pair_counts(groups, width, cap, stats, auto_cap)
+        keys = sorted(counts)
+        return (
+            array("q", [key // width for key in keys]),
+            array("q", [key % width for key in keys]),
+            array("q", map(counts.__getitem__, keys)),
+        )
+    if auto_cap > 0 and not cap:
+        cap = resolve_auto_cap(map(len, groups), cap, auto_cap)
+        if stats is not None:
+            stats.auto_cap = cap
+    # The reference's admission rule and accounting; only the admitted
+    # groups reach the kernel, flattened into ids and offsets.
+    offsets, ids = array("q", [0]), array("q")
+    extend, close = ids.extend, offsets.append
+    enumerated = skipped = 0
+    for group in groups:
+        size = len(group)
+        if size < 2:
+            continue
+        if cap and size > cap:
+            skipped += 1
+            continue
+        enumerated += size * (size - 1) // 2
+        extend(group)
+        close(len(ids))
+    pairs = _compiled_pair_counts(library, offsets, ids, width, enumerated)
+    graph.pair_kernel = True
+    if stats is not None:
+        stats.groups += len(groups)
+        stats.largest_group = max(stats.largest_group, max(map(len, groups), default=0))
+        stats.skipped_groups += skipped
+        stats.enumerated_pairs += enumerated
+        stats.candidate_pairs = len(pairs[0])
+    return pairs
+
+
+def _compiled_pair_counts(library, offsets, ids, width, enumerated) -> SortedPairs:
+    """Drive ``pair_counts`` over the flattened groups until every row is out.
+
+    The outputs start at ``_FIRST_BLOCK`` pairs (fewer when fewer pairs
+    were enumerated, never fewer than *width*, which lets every call
+    finish at least one row) and double whenever a call stops before a
+    row that would overflow them; the next call resumes at that row.
+    """
+    scratch = array("q", [0]) * (2 * width + 1 + 2 * len(ids) + (width + 63) // 64)
+    next_row = array("q", [0])
+    capacity = max(width, min(enumerated, _FIRST_BLOCK))
+    outputs = tuple(array("q", [0]) * capacity for _ in range(3))
+    written = row = 0
+    while True:
+        found = library.pair_counts(
+            width,
+            len(offsets) - 1,
+            offsets.buffer_info()[0],
+            ids.buffer_info()[0],
+            len(ids),
+            row,
+            scratch.buffer_info()[0],
+            len(scratch),
+            capacity - written,
+            *(output.buffer_info()[0] + 8 * written for output in outputs),
+            next_row.buffer_info()[0],
+        )
+        if found < 0:
+            raise PipelineError(f"pair counting refused its input: {_REFUSALS.get(found, found)}")
+        written += found
+        row = next_row[0]
+        if row >= width:
+            break
+        grown = max(2 * capacity, written + width)
+        for output in outputs:
+            output.extend(array("q", [0]) * (grown - capacity))
+        capacity = grown
+    for output in outputs:
+        del output[written:]
+    return outputs
 
 
 def overlap_ratio_edges(
-    pair_common: Mapping[int, int],
-    width: int,
+    pairs: SortedPairs,
     sizes: Mapping[int, int] | Sequence[int],
     floor: float,
-    heavy_sets: Mapping[int, frozenset[int]] | None = None,
+    special: Container[int] = (),
+    weight_of: Callable[[int, int, int], float] | None = None,
 ) -> Iterator[tuple[int, int, float]]:
     """Edges for the overlap-ratio dimensions (eq. 1 / eq. 8 form).
 
-    For every accumulated pair, the weight is ``(common / |A_i|) *
-    (common / |A_j|)``; pairs below *floor* are dropped.  *heavy_sets*
-    (server id -> its artefacts whose posting lists were too ubiquitous
-    to generate candidates) adds those artefacts' per-pair overlap back,
-    so the weight sees the full-set intersection.  Pairs are yielded in
-    ascending packed order — exactly the precondition of
-    ``WeightedGraph.add_sorted_edges``.
+    For every pair of :func:`sorted_pair_counts`, the weight is
+    ``(common / |A_i|) * (common / |A_j|)``; pairs below *floor* are
+    dropped.  A pair whose two ids are both in *special* is weighed by
+    ``weight_of(i, j, common)`` instead (:func:`heavy_overlap` adds the
+    ubiquitous artefacts back; urifile's eq. 7 matches long names).
+    Pairs are yielded in ascending ``(i, j)`` order — exactly the
+    precondition of ``WeightedGraph.add_sorted_edges``.
     """
-    for key in sorted(pair_common):
-        first, second = divmod(key, width)
-        common = pair_common[key]
-        if heavy_sets is not None:
-            common += len(
-                heavy_sets.get(first, _NO_HEAVY) & heavy_sets.get(second, _NO_HEAVY)
-            )
-        weight = (common / sizes[first]) * (common / sizes[second])
+    for first, second, common in zip(*pairs):
+        if first in special and second in special:
+            weight = weight_of(first, second, common)
+        else:
+            weight = (common / sizes[first]) * (common / sizes[second])
         if weight >= floor:
             yield first, second, weight
 
 
 def overlap_ratio_edge_arrays(
-    pair_common: Mapping[int, int],
+    pairs: SortedPairs,
     width: int,
     sizes: Mapping[int, int] | Sequence[int],
     floor: float,
-    heavy_sets: Mapping[int, frozenset[int]] | None = None,
+    special: Collection[int] = (),
+    weight_of: Callable[[int, int, int], float] | None = None,
 ):
     """Array form of :func:`overlap_ratio_edges` (numpy required).
 
     Returns ``(us, vs, ws)`` int64/int64/float64 arrays holding exactly
     the triples :func:`overlap_ratio_edges` would yield, in the same
-    ascending packed-pair order, with bit-identical weights: int64 true
-    division is the same correctly-rounded float64 operation as python
-    ``int / int`` for counts far below 2**53, and the product is a
-    single elementwise multiply either way.  Only the heavy-set overlap
-    correction — a set intersection per affected pair — stays a python
-    loop, masked down to pairs where both endpoints carry heavy sets.
+    order, with bit-identical weights: int64 true division is the same
+    correctly-rounded float64 operation as python ``int / int`` for
+    counts far below 2**53, and the product is a single elementwise
+    multiply either way.  Only the *special* pairs' ``weight_of`` calls
+    stay a python loop, masked down to pairs whose two ids are special.
     """
     import numpy as _np  # only CSR graphs, which need numpy, take this path
 
-    count = len(pair_common)
-    keys = _np.fromiter(pair_common.keys(), dtype=_np.int64, count=count)
-    common = _np.fromiter(pair_common.values(), dtype=_np.int64, count=count)
-    order = _np.argsort(keys)
-    keys = keys[order]
-    common = common[order]
-    firsts, seconds = _np.divmod(keys, width)
-    if heavy_sets is not None and heavy_sets:
-        heavy_ids = _np.fromiter(
-            heavy_sets.keys(), dtype=_np.int64, count=len(heavy_sets)
-        )
-        affected = _np.isin(firsts, heavy_ids) & _np.isin(seconds, heavy_ids)
-        for position in _np.nonzero(affected)[0].tolist():
-            common[position] += len(
-                heavy_sets[int(firsts[position])] & heavy_sets[int(seconds[position])]
-            )
+    firsts, seconds, common = (_np.frombuffer(part, dtype=_np.int64) for part in pairs)
     if isinstance(sizes, Mapping):
         size_arr = _np.ones(width, dtype=_np.int64)
         for index, size in sizes.items():
@@ -411,17 +524,43 @@ def overlap_ratio_edge_arrays(
     else:
         size_arr = _np.asarray(sizes, dtype=_np.int64)
     ws = (common / size_arr[firsts]) * (common / size_arr[seconds])
+    if special:
+        special_ids = _np.fromiter(special, dtype=_np.int64, count=len(special))
+        affected = _np.isin(firsts, special_ids) & _np.isin(seconds, special_ids)
+        for position in _np.nonzero(affected)[0].tolist():
+            ws[position] = weight_of(
+                int(firsts[position]), int(seconds[position]), int(common[position])
+            )
     keep = ws >= floor
     return firsts[keep], seconds[keep], ws[keep]
 
 
+def heavy_overlap(
+    heavy_sets: Mapping[int, frozenset[int]], sizes: Mapping[int, int] | Sequence[int]
+) -> Callable[[int, int, int], float]:
+    """``weight_of`` for pairs of servers that both carry heavy artefacts.
+
+    *heavy_sets* maps a server id to its artefacts whose posting lists
+    were too ubiquitous to generate candidates; the pair's shared ones
+    are added back to its count, so the weight sees the full-set
+    intersection.
+    """
+
+    def weight_of(first: int, second: int, common: int) -> float:
+        common += len(heavy_sets[first] & heavy_sets[second])
+        return (common / sizes[first]) * (common / sizes[second])
+
+    return weight_of
+
+
 def add_overlap_edges(
     graph,
-    pair_common: Mapping[int, int],
+    pairs: SortedPairs,
     width: int,
     sizes: Mapping[int, int] | Sequence[int],
     floor: float,
-    heavy_sets: Mapping[int, frozenset[int]] | None = None,
+    special: Collection[int] = (),
+    weight_of: Callable[[int, int, int], float] | None = None,
 ) -> None:
     """Add an overlap-ratio dimension's edges to *graph*, fastest way first.
 
@@ -431,9 +570,7 @@ def add_overlap_edges(
     order, same bits either way.
     """
     fast = getattr(graph, "add_sorted_edge_arrays", None)
-    if fast is not None and pair_common:
-        fast(*overlap_ratio_edge_arrays(pair_common, width, sizes, floor, heavy_sets))
+    if fast is not None and pairs[0]:
+        fast(*overlap_ratio_edge_arrays(pairs, width, sizes, floor, special, weight_of))
     else:
-        graph.add_sorted_edges(
-            overlap_ratio_edges(pair_common, width, sizes, floor, heavy_sets)
-        )
+        graph.add_sorted_edges(overlap_ratio_edges(pairs, sizes, floor, special, weight_of))

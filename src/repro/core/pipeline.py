@@ -351,6 +351,7 @@ def _record_dimension(recorder, dimension: str, outcome, seconds: float) -> None
     attributes["louvain_levels"] = outcome.louvain_levels
     attributes["louvain_moves"] = outcome.louvain_moves
     attributes["louvain_kernel"] = outcome.louvain_kernel
+    attributes["pair_kernel"] = getattr(outcome.graph, "pair_kernel", False)
     recorder.record_span("pipeline.mine.dimension", seconds, attributes)
     recorder.histogram(
         "smash_dimension_build_seconds",

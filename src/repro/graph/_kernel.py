@@ -1,22 +1,26 @@
-"""Build and load the compiled kernels: one library for both C sources.
+"""Build and load the compiled kernels: one library for three C sources.
 
 The library holds the Louvain kernel (``_louvain_kernel.c``, driven by
-:mod:`repro.graph.louvain`) and the JSONL decoder
+:mod:`repro.graph.louvain`), the JSONL decoder
 (``repro/httplog/_jsonl_kernel.c``, driven by
-:mod:`repro.httplog.loader`).  Each imports this module on its first
-use, never at ``import repro``.  The first :func:`load` compiles both
-sources with the system C compiler (``cc``, else ``gcc``) into this
-package's ``__pycache__/``, under a name keyed by a hash of the
-sources, the flags and the compiler, then loads it through ctypes;
-later calls and later processes, for either kernel, reuse that file.
-The compiler writes to a unique temporary name that ``os.replace`` then
-moves into place, so processes racing on a fresh checkout (test
-subprocesses, shard workers) each load a complete library.
+:mod:`repro.httplog.loader`) and the pair counter
+(``repro/core/_pairs_kernel.c``, driven by
+:func:`repro.core.interning.sorted_pair_counts`).  Each imports this
+module on its first use, never at ``import repro``.  The library lives
+in this package's ``__pycache__/`` under a name keyed by a hash of the
+sources, the flags and the machine.  The first :func:`load` that finds
+no file there compiles the sources with the system C compiler (``cc``,
+else ``gcc``); later calls and later processes, for any kernel, open
+that file, with or without a compiler on ``PATH``.  The compiler writes
+to a unique temporary name that ``os.replace`` then moves into place, so
+processes racing on a fresh checkout (test subprocesses, shard workers)
+each load a complete library.
 
-When the compiler is missing or the build or load fails, :func:`load`
-logs one warning and returns ``None`` for the rest of the process;
-Louvain then runs the pure-Python reference and the loader its regex
-loop, whose outputs are identical.
+When there is no library and no compiler, or the build or load fails,
+:func:`load` logs one warning and returns ``None`` for the rest of the
+process; Louvain then runs the pure-Python reference, the loader its
+regex loop and pair counting its ``Counter`` reference, whose outputs
+are identical.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ _LOGGER = logging.getLogger("repro.graph.kernel")
 
 SOURCE = Path(__file__).with_name("_louvain_kernel.c")
 DECODER_SOURCE = Path(__file__).parent.parent / "httplog" / "_jsonl_kernel.c"
+PAIRS_SOURCE = Path(__file__).parent.parent / "core" / "_pairs_kernel.c"
 
 #: ``-ffp-contract=off`` keeps every multiply and add separately rounded,
 #: as in Python; ``-ffast-math`` must never be added (it reassociates).
@@ -50,12 +55,16 @@ class KernelUnavailable(Exception):
     """The kernels could not be compiled or loaded."""
 
 
-def _library_path(compiler: str) -> Path:
-    """Where the library built from the current sources by *compiler* lives."""
+def _sources() -> tuple[Path, ...]:
+    return (SOURCE, DECODER_SOURCE, PAIRS_SOURCE)
+
+
+def _library_path() -> Path:
+    """Where the library built from the current sources lives."""
     digest = hashlib.sha256()
-    for source in (SOURCE, DECODER_SOURCE):
+    for source in _sources():
         digest.update(hashlib.sha256(source.read_bytes()).digest())
-    digest.update("\0".join((*FLAGS, compiler, platform.machine())).encode())
+    digest.update("\0".join((*FLAGS, platform.machine())).encode())
     return SOURCE.parent / "__pycache__" / f"_kernels.{digest.hexdigest()[:16]}.so"
 
 
@@ -64,7 +73,7 @@ def _build(compiler: str, target: Path) -> None:
     temporary = target.with_name(f"{target.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         completed = subprocess.run(
-            [compiler, *FLAGS, "-o", str(temporary), str(SOURCE), str(DECODER_SOURCE)],
+            [compiler, *FLAGS, "-o", str(temporary), *map(str, _sources())],
             capture_output=True,
             text=True,
             timeout=_BUILD_TIMEOUT_S,
@@ -109,15 +118,31 @@ def _open(path: Path):
         ptr,  # flags
         ptr,  # counts
     )
+    library.pair_counts.restype = i64
+    library.pair_counts.argtypes = (
+        i64,  # width
+        i64,  # groups
+        ptr,  # offsets
+        ptr,  # ids
+        i64,  # n_ids
+        i64,  # row
+        ptr,  # scratch
+        i64,  # scratch_cap
+        i64,  # out_cap
+        ptr,  # firsts
+        ptr,  # seconds
+        ptr,  # counts
+        ptr,  # next_row
+    )
     return library
 
 
 def _build_and_open():
-    compiler = shutil.which("cc") or shutil.which("gcc")
-    if compiler is None:
-        raise KernelUnavailable("no C compiler (cc or gcc) on PATH")
-    target = _library_path(compiler)
+    target = _library_path()
     if not target.is_file():
+        compiler = shutil.which("cc") or shutil.which("gcc")
+        if compiler is None:
+            raise KernelUnavailable("no library built and no C compiler (cc or gcc) on PATH")
         _build(compiler, target)
     return _open(target)
 
@@ -132,7 +157,8 @@ def load():
                 except (KernelUnavailable, OSError, subprocess.SubprocessError) as exc:
                     _LOGGER.warning(
                         "compiled kernels unavailable, running the pure-Python "
-                        "reference (Louvain) and the regex loop (JSONL loader): %s",
+                        "reference (Louvain), the regex loop (JSONL loader) and "
+                        "the Counter reference (pair counting): %s",
                         exc,
                     )
                     library = None

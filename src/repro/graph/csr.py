@@ -129,6 +129,7 @@ class CsrGraph:
         "_extra_adj",
         "_extra_pairs",
         "build_stats",
+        "pair_kernel",
     )
 
     def __init__(self) -> None:
@@ -161,6 +162,11 @@ class CsrGraph:
         self._extra_adj: dict[int, dict[int, float]] = {}
         self._extra_pairs: set[tuple[int, int]] = set()
         self.build_stats: dict[str, object] = {}
+        #: True when the builder's pair counts came from the compiled
+        #: kernel (``repro.core.interning.sorted_pair_counts``); traced as
+        #: a span attribute, kept out of ``build_stats``, which the
+        #: reference path must reproduce exactly.
+        self.pair_kernel: bool = False
 
     # -- construction --------------------------------------------------------------
 

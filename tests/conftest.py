@@ -18,6 +18,22 @@ from repro.stream.window import redirects_to_dict, whois_to_list
 from repro.synth import TraceGenerator, small_scenario
 
 
+@pytest.fixture(scope="class", params=["kernel", "reference"])
+def pair_path(request):
+    """Run a graph-building test class on each pair-counting path.
+
+    ``kernel`` leaves the compiled kernels to load as usual; ``reference``
+    makes them unavailable, so ``sorted_pair_counts`` runs the
+    ``Counter`` reference (and Louvain its pure-Python one).
+    """
+    from repro.graph import _kernel
+
+    with pytest.MonkeyPatch.context() as patch:
+        if request.param == "reference":
+            patch.setattr(_kernel, "_loaded", [None])
+        yield request.param
+
+
 @pytest.fixture(scope="session")
 def small_dataset():
     """One day of the small scenario (deterministic, seed 7)."""

@@ -40,6 +40,7 @@ LOOSE = DimensionConfig(
 )
 
 
+@pytest.mark.usefixtures("pair_path")
 class TestClientSimilarity:
     def test_equation_one(self):
         # |C1∩C2|=2, |C1|=2, |C2|=4 -> (2/2)(2/4) = 0.5.
@@ -124,6 +125,7 @@ class TestFileSimilarity:
         assert file_similarity({fam1}, {fam2}) == 1.0
 
 
+@pytest.mark.usefixtures("pair_path")
 class TestUrifileGraph:
     def test_shared_file_connects(self):
         trace = HttpTrace([
@@ -160,6 +162,7 @@ class TestUrifileGraph:
         assert graph.has_edge("a.com", "b.com")
 
 
+@pytest.mark.usefixtures("pair_path")
 class TestIpsetGraph:
     def test_shared_ip(self):
         trace = HttpTrace([
@@ -231,6 +234,7 @@ class TestWhoisSimilarity:
         assert set(comparable_fields(a)) == {"name_servers"}
 
 
+@pytest.mark.usefixtures("pair_path")
 class TestWhoisGraph:
     def test_registered_herd_connects(self):
         trace = HttpTrace([request("c1", "a.com"), request("c2", "b.com"),

@@ -20,6 +20,7 @@ from repro.core.interning import (
     add_overlap_edges,
     overlap_ratio_edges,
     resolve_auto_cap,
+    sorted_pair_counts,
 )
 from repro.errors import GraphError
 from repro.graph import (
@@ -200,13 +201,13 @@ class TestCsrEdgeCases:
     def test_overlap_edge_arrays_match_reference_edges(self):
         width = 6
         groups = [[0, 1, 2], [0, 1], [2, 3, 4], [1, 2], [4, 5]]
-        pair_common = accumulate_pair_counts(groups, width)
+        pairs = sorted_pair_counts(groups, width)
         sizes = {i: 2.0 + i for i in range(width)}
         floor = 0.01
         fast = CsrGraph.from_sorted_labels([f"s{i}" for i in range(width)])
         slow = WeightedGraph.from_sorted_labels([f"s{i}" for i in range(width)])
-        add_overlap_edges(fast, pair_common, width, sizes, floor)
-        slow.add_sorted_edges(overlap_ratio_edges(pair_common, width, sizes, floor))
+        add_overlap_edges(fast, pairs, width, sizes, floor)
+        slow.add_sorted_edges(overlap_ratio_edges(pairs, sizes, floor))
         assert_same_graph(fast, slow)
 
 

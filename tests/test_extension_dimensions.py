@@ -34,6 +34,7 @@ def request(client, host, uri="/x.html", ts=0.0, ip="1.1.1.1"):
     )
 
 
+@pytest.mark.usefixtures("pair_path")
 class TestUrlparamGraph:
     def test_patterns_extracted(self):
         trace = HttpTrace([
@@ -73,6 +74,7 @@ class TestUrlparamGraph:
         assert graph.num_edges() == 0
 
 
+@pytest.mark.usefixtures("pair_path")
 class TestTimeGraph:
     def test_windows_extracted(self):
         trace = HttpTrace([

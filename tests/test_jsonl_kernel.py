@@ -310,6 +310,10 @@ def test_missing_compiler_reads_with_the_regex_loop(tmp_path, monkeypatch, caplo
     path = tmp_path / "trace.jsonl"
     write_jsonl(HttpTrace([HttpRequest.from_dict(json.loads(CANONICAL))] * 3), path)
     expected = decoded(path, kernel=True)
+    # Sources in a fresh directory have no library built next to them.
+    source = tmp_path / "_louvain_kernel.c"
+    shutil.copy(_kernel.SOURCE, source)
+    monkeypatch.setattr(_kernel, "SOURCE", source)
     monkeypatch.setattr(_kernel, "_loaded", [])
     monkeypatch.setattr(_kernel.shutil, "which", lambda name: None)
     with caplog.at_level("WARNING", logger="repro.graph.kernel"):

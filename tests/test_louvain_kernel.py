@@ -366,8 +366,14 @@ class TestLoader:
         assert warnings[0].levelno == logging.WARNING
         assert "pure-Python reference" in warnings[0].getMessage()
 
-    def test_missing_compiler_falls_back_with_one_warning(self, day_graphs, monkeypatch, caplog):
+    def test_missing_compiler_falls_back_with_one_warning(
+        self, day_graphs, monkeypatch, caplog, tmp_path
+    ):
         expected = self._mine_all(day_graphs)
+        # Sources in a fresh directory have no library built next to them.
+        source = tmp_path / "_louvain_kernel.c"
+        shutil.copy(_kernel.SOURCE, source)
+        monkeypatch.setattr(_kernel, "SOURCE", source)
         monkeypatch.setattr(_kernel, "_loaded", [])
         monkeypatch.setattr(_kernel.shutil, "which", lambda name: None)
         with caplog.at_level(logging.WARNING, logger="repro.graph.kernel"):
@@ -432,6 +438,51 @@ class TestLoader:
         assert outputs[0][0] == outputs[1][0] and outputs[0][0].strip()
         built = sorted(path.name for path in (tmp_path / "__pycache__").iterdir())
         assert len(built) == 1 and built[0].endswith(".so"), built
+
+    def test_built_library_loads_without_a_compiler(self, tmp_path):
+        """A process with no compiler on PATH opens the library already
+        built for these sources: no warning, every kernel compiled, and
+        the same campaigns as a process that could build it."""
+        assert _kernel.load() is not None
+        script = textwrap.dedent(
+            """
+            import json, logging, sys
+            from repro.core.pipeline import SmashPipeline
+            from repro.eval.export import result_to_dict
+            from repro.graph import _kernel
+            from repro.synth import TraceGenerator, small_scenario
+
+            logging.basicConfig(level=logging.WARNING, stream=sys.stderr)
+            data = TraceGenerator(small_scenario()).generate_day(0)
+            pipeline = SmashPipeline()
+            mined = pipeline.mine(data.trace, whois=data.whois)
+            result = pipeline.finish(mined, redirects=data.redirects)
+            print(json.dumps(result_to_dict(result), sort_keys=True))
+            outcomes = [mined.main, *mined.secondary.values()]
+            print(all(o.louvain_kernel and o.graph.pair_kernel for o in outcomes))
+            """
+        )
+        env = dict(os.environ)
+        env["PATH"] = str(tmp_path)
+        env["PYTHONPATH"] = str(SRC_DIR) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=environment,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            for environment in (env, dict(env, PATH=os.environ.get("PATH", "")))
+        ]
+        for completed in runs:
+            assert completed.returncode == 0, completed.stderr
+        without, with_compiler = runs
+        assert "compiled kernels unavailable" not in without.stderr, without.stderr
+        assert without.stdout.splitlines()[-1] == "True"
+        assert without.stdout == with_compiler.stdout
 
     def test_import_and_construction_load_nothing(self):
         script = textwrap.dedent(
