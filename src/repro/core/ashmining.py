@@ -6,16 +6,28 @@ dimension's Associated Server Herds.  Nodes that end up alone (no edges,
 or singleton communities) are "dropped" by the dimension — for the main
 dimension the paper reports these as servers that "can not be correlated
 with other servers in client similarity" (Section V-C1).
+
+Each community is then split by re-running Louvain inside it, to get
+past modularity's resolution limit (Fortunato & Barthélemy, PNAS 2007).
+On a frozen CSR graph with the compiled kernel loaded, the whole mine —
+the top-level run, each community's density, its induced subgraph,
+every re-run and its modularity — works on node ids in buffers sized
+once per mine (:class:`~repro.graph.louvain._KernelLevels`), and labels
+are attached only to the herds and the dropped servers.  Everything
+else runs :func:`_refine_community`, the label recursion, which is also
+the reference the id path must equal.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from repro.config import LouvainConfig
 from repro.core.results import Herd
-from repro.graph.louvain import louvain_communities
+from repro.graph.louvain import kernel_levels, louvain_communities
 from repro.graph.wgraph import WeightedGraph
+from repro.util.rng import make_rng
 
 
 @dataclass(frozen=True)
@@ -92,6 +104,98 @@ def _refine_community(
     return refined
 
 
+def _density(edges: int, size: int) -> float:
+    """``density_of`` from an internal edge count (the same float)."""
+    return 2.0 * edges / (size * (size - 1))
+
+
+def _mine_ids(graph, levels, dimension: str, config: LouvainConfig) -> MiningOutcome:
+    """:func:`mine_herds` on node ids, in the compiled kernel.
+
+    The same steps as the label path, in the same order: each re-run
+    starts from a fresh ``make_rng(config.seed)`` state, each part list
+    runs by decreasing size, then smallest id, and each density comes
+    from the same integer edge count.
+    """
+    config.validate()
+    rng = make_rng(config.seed)
+    initial = rng.bit_generator.state
+    tally = [0, 0, 0, 0]  # runs, levels, moves, sweeps
+
+    def run() -> int:
+        rng.bit_generator.state = initial
+        levels_run, moves, sweeps = levels.run(config, rng)
+        tally[0] += 1
+        tally[1] += levels_run
+        tally[2] += moves
+        tally[3] += sweeps
+        return levels_run
+
+    def refine(ids: list[int], depth: int) -> list[tuple[list[int], float | None]]:
+        # _refine_community, step for step.
+        k = len(ids)
+        if depth >= config.max_refine_depth or k <= config.min_refine_size:
+            return [(ids, None)]
+        members = array("q", ids)
+        density = _density(levels.gather(members) // 2, k)
+        if density >= config.refine_density_stop:
+            return [(ids, density)]
+        levels.start_subgraph(k)
+        levels_run = run()
+        starts, parts = levels.parts(members)
+        if len(starts) <= 2:
+            return [(ids, density)]
+        if levels_run > 1:
+            levels.gather(members)  # the second aggregation overwrote it
+        if levels.modularity(2.0 * levels.sub_total, subgraph=True) <= config.refine_min_modularity:
+            return [(ids, density)]
+        refined: list[tuple[list[int], float | None]] = []
+        for start, end in zip(starts, starts[1:]):
+            refined.extend(refine(parts[start:end], depth + 1))
+        return refined
+
+    run()
+    starts, members = levels.parts()
+    modularity = levels.modularity(2.0 * graph.total_weight)
+    parts: list[tuple[list[int], float | None]] = []
+    dropped: list[int] = []
+    for start, end in zip(starts, starts[1:]):
+        if end - start < 2:
+            dropped.extend(members[start:])  # singletons come last
+            break
+        if config.refine:
+            parts.extend(refine(members[start:end], 0))
+        else:
+            parts.append((members[start:end], None))
+    labels = levels.labels
+    herds: list[Herd] = []
+    for ids, density in parts:
+        if len(ids) < 2:
+            dropped.extend(ids)
+            continue
+        if density is None:
+            density = _density(levels.count(array("q", ids)) // 2, len(ids))
+        herds.append(
+            Herd(
+                dimension=dimension,
+                index=len(herds),
+                servers=frozenset([labels[i] for i in ids]),
+                density=density,
+            )
+        )
+    return MiningOutcome(
+        herds=tuple(herds),
+        dropped=frozenset([labels[i] for i in dropped]),
+        modularity=modularity,
+        graph=graph,
+        louvain_runs=tally[0],
+        louvain_levels=tally[1],
+        louvain_moves=tally[2],
+        louvain_sweeps=tally[3],
+        louvain_kernel=True,
+    )
+
+
 def mine_herds(
     graph: WeightedGraph,
     dimension: str,
@@ -99,6 +203,9 @@ def mine_herds(
 ) -> MiningOutcome:
     """Extract the ASHs of *dimension* from its similarity graph."""
     config = config or LouvainConfig()
+    levels = kernel_levels(graph)
+    if levels is not None:
+        return _mine_ids(graph, levels, dimension, config)
     result = louvain_communities(graph, config)
     tally = [0, 0, 0, 0, 0]  # runs, levels, moves, sweeps, compiled runs
     _tally(tally, result)

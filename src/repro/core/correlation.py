@@ -19,9 +19,11 @@ ASHs left with fewer than two servers are dropped.
 
 The pipeline runs the interned core (:func:`correlate_ids`): herd
 membership, overlaps and score keys are dense integer server ids, and
-intersection densities are measured with ``WeightedGraph.density_of``
-(no subgraph materialisation); ids are decoded back to labels only at
-the results boundary (``SmashPipeline.finish``).  The label-domain
+intersection densities are measured with the graph's ``density_of``
+(no subgraph materialisation: on a CSR graph, one compiled gather over
+the members' rows, plus the members' overlay rows for the main graph's
+single-client edges); ids are decoded back to labels only at the
+results boundary (``SmashPipeline.finish``).  The label-domain
 :func:`correlate` wrapper keeps the original public signature for
 callers outside the pipeline.
 """

@@ -1,7 +1,8 @@
 """Build and load the compiled kernels: one library for three C sources.
 
-The library holds the Louvain kernel (``_louvain_kernel.c``, driven by
-:mod:`repro.graph.louvain`), the JSONL decoder
+The library holds the Louvain kernel and the CSR graph's queries
+(``_louvain_kernel.c``, driven by :mod:`repro.graph.louvain`,
+:mod:`repro.graph.csr` and :mod:`repro.core.ashmining`), the JSONL decoder
 (``repro/httplog/_jsonl_kernel.c``, driven by
 :mod:`repro.httplog.loader`) and the pair counter
 (``repro/core/_pairs_kernel.c``, driven by
@@ -18,9 +19,9 @@ each load a complete library.
 
 When there is no library and no compiler, or the build or load fails,
 :func:`load` logs one warning and returns ``None`` for the rest of the
-process; Louvain then runs the pure-Python reference, the loader its
-regex loop and pair counting its ``Counter`` reference, whose outputs
-are identical.
+process; Louvain then runs the pure-Python reference, the CSR graph its
+scalar queries, the loader its regex loop and pair counting its
+``Counter`` reference, whose outputs are identical.
 """
 
 from __future__ import annotations
@@ -99,6 +100,16 @@ def _open(path: Path):
     library.louvain_sweep.argtypes = (i64,) + (ptr,) * 7 + (f64, f64, f64) + (ptr,) * 3
     library.louvain_aggregate.restype = i64
     library.louvain_aggregate.argtypes = (i64,) + (ptr,) * 5 + (i64,) + (ptr,) * 11
+    # CSR graph queries: n, m, pairs and weights, capacity, outputs; the
+    # graph's arrays, then ids and outputs; labels, scratch, outputs.
+    library.csr_from_pairs.restype = i64
+    library.csr_from_pairs.argtypes = (i64, i64) + (ptr,) * 3 + (i64,) + (ptr,) * 3
+    library.csr_induced.restype = i64
+    library.csr_induced.argtypes = (i64,) + (ptr,) * 3 + (i64, i64, ptr, i64) + (ptr,) * 4
+    library.csr_community_sums.restype = i64
+    library.csr_community_sums.argtypes = (i64,) + (ptr,) * 3 + (i64, ptr, i64, ptr, i64, ptr, ptr)
+    library.louvain_parts.restype = i64
+    library.louvain_parts.argtypes = (i64, ptr, i64, ptr, i64, ptr, i64, ptr, i64, ptr)
     library.jsonl_scan.restype = i64
     library.jsonl_scan.argtypes = (
         ctypes.c_char_p,  # data
@@ -157,8 +168,9 @@ def load():
                 except (KernelUnavailable, OSError, subprocess.SubprocessError) as exc:
                     _LOGGER.warning(
                         "compiled kernels unavailable, running the pure-Python "
-                        "reference (Louvain), the regex loop (JSONL loader) and "
-                        "the Counter reference (pair counting): %s",
+                        "reference (Louvain and the CSR graph's queries), the regex "
+                        "loop (JSONL loader) and the Counter reference (pair "
+                        "counting): %s",
                         exc,
                     )
                     library = None

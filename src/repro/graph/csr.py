@@ -10,25 +10,27 @@ output) while giving the hot consumers contiguous neighbor slices:
 * Louvain runs both of its phases in the compiled kernel
   (``repro.graph._louvain_kernel.c``) over the arrays ``csr_view``
   hands over;
-* modularity becomes masked segment sums over the edge arrays;
-* ``subgraph`` extracts refinement communities with vectorised row
-  gathers, returning another ``CsrGraph``.
+* the same kernel builds the arrays from the builders' ascending pairs
+  in one counting pass, gathers the induced subgraph of a member set
+  for ``subgraph`` and ``density_of``, and sums modularity's terms per
+  community.  Without the library, ``_finalize`` lexsorts and the
+  queries take the scalar paths kept for mutated graphs.
 
 Byte-identity with the dict backend is an invariant, not an accident:
-``np.bincount`` accumulates its weights sequentially in input order
-(exactly the dict-accumulation order), elementwise float64 arithmetic is
-bit-identical to python scalar arithmetic, and every order-sensitive
-reduction (total weight, modularity Q) stays a sequential python-float
-sum (:func:`~repro.graph.wgraph.sum_in_order`, never ``sum()``, which
-compensates since Python 3.12).  Pairwise reductions (``np.sum``,
-``np.add.reduceat``) are never used on weights.
+the kernel adds every weight sequentially in the dict backend's order
+(row sums left to right, community sums in node order, a subgraph's
+total weight over its upper-triangle entries in row-major order), and
+the last step of modularity, ``q += internal/m2 - (degree/m2) ** 2``,
+runs in Python over communities in first-occurrence order.  Python-side
+sums go through :func:`~repro.graph.wgraph.sum_in_order`, never
+``sum()``, which compensates since Python 3.12.
 
 Construction mirrors the builders' contract (sorted labels, then one
 bulk load of ascending ``iu < iv`` edges); the arrays are frozen after
 that.  Post-construction mutation — the pipeline appends single-client
 herd edges to the built main graph — goes to a small dict overlay with
 the dict backend's exact insertion-order semantics, and disables the
-vectorised views (queries stay correct via the merged rows).
+array views (queries stay correct via the merged rows).
 
 numpy is optional: when it is unavailable this module still imports and
 ``HAVE_NUMPY`` is False; callers fall back to the pure-python
@@ -37,11 +39,13 @@ numpy is optional: when it is unavailable this module still imports and
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections.abc import Hashable, Iterable, Iterator
+from ctypes import addressof, c_char
 
 from repro.errors import GraphError
-from repro.graph.wgraph import WeightedGraph, node_sort_key, sum_in_order
+from repro.graph.wgraph import WeightedGraph, node_sort_key, sorted_namespace, sum_in_order
 
 try:  # pragma: no cover - exercised via both CI paths
     import numpy as np
@@ -50,7 +54,87 @@ except ImportError:  # pragma: no cover
 
 HAVE_NUMPY = np is not None
 
+#: ``csr_from_pairs``' refusal of pairs that are not strictly ascending.
+_NOT_ASCENDING = -3
+
 Node = Hashable
+
+
+def _library():
+    """The compiled kernels, or ``None`` (deferred: nothing loads at import)."""
+    from repro.graph import _kernel
+
+    return _kernel.load()
+
+
+def _address(values) -> int:
+    """Address of a numpy array's first element, for a kernel argument.
+
+    ``ndarray.ctypes.data`` costs about four times as much per call.
+    """
+    try:
+        return addressof(c_char.from_buffer(values))
+    except (TypeError, ValueError):  # empty or read-only
+        return values.ctypes.data
+
+
+def _arrays_from_pairs(kernel, n: int, us, vs, ws):
+    """``(indptr, indices, weights)`` from the pairs ``(us[t], vs[t])``, in
+    the kernel's one counting pass.  Returns ``None`` when the pairs do
+    not ascend strictly (the caller lexsorts them, as it does without
+    the library); raises :class:`GraphError` when one is not
+    ``0 <= iu < iv < n``."""
+    m = len(us)
+    if len(vs) != m or len(ws) != m:
+        raise GraphError(f"edge columns disagree: {m}, {len(vs)} and {len(ws)} entries")
+    indptr = np.empty(n + 1, dtype=np.int64)
+    indices = np.empty(2 * m, dtype=np.int64)
+    weights = np.empty(2 * m, dtype=np.float64)
+    code = kernel.csr_from_pairs(
+        n,
+        m,
+        _address(us),
+        _address(vs),
+        _address(ws),
+        2 * m,
+        _address(indptr),
+        _address(indices),
+        _address(weights),
+    )
+    if code == _NOT_ASCENDING:
+        return None
+    if code < 0:
+        raise GraphError(f"edge pairs refused (code {code}): each must satisfy 0 <= iu < iv < n")
+    return indptr, indices, weights
+
+
+def induced_entries(kernel, n: int, arrays_at, n_entries: int, ids: array, *outputs) -> int:
+    """The kernel's induced-subgraph gather (``csr_induced``).
+
+    *arrays_at* are the addresses of a CSR graph's ``indptr``, ``indices``
+    and ``weights`` (*n* rows, *n_entries* entries) and *ids* ascending
+    node ids.  Returns the subgraph's entry count; with *outputs*
+    (``cap`` and the addresses of ``indptr``, ``indices``, ``weights`` and
+    ``total``) the subgraph is written there too.
+    """
+    count = kernel.csr_induced(
+        n, *arrays_at, n_entries, len(ids), ids.buffer_info()[0], *(outputs or (0,) + (None,) * 4)
+    )
+    if count < 0:
+        raise GraphError(f"induced subgraph refused (code {count})")
+    return count
+
+
+def modularity_from_sums(internal: list[float], degree: list[float], m2: float) -> float:
+    """Q from per-community sums listed in first-occurrence order.
+
+    The last loop of ``repro.graph.modularity``, kept in Python: CPython's
+    ``** 2`` calls libm ``pow``, which a C compiler may turn into ``x*x``.
+    """
+    q = 0.0
+    for inside, total in zip(internal, degree):
+        q += inside / m2 - (total / m2) ** 2
+    return q
 
 
 def resolve_use_csr(use_csr: bool | None) -> bool:
@@ -172,10 +256,12 @@ class CsrGraph:
 
     @classmethod
     def from_sorted_labels(cls, labels: Iterable[Node]) -> "CsrGraph":
-        """Graph with nodes pre-inserted from an already-sorted iterable."""
+        """Graph with nodes pre-inserted from an already-sorted iterable.
+
+        Exactly what one ``add_node`` per label leaves, built in bulk.
+        """
         graph = cls()
-        for label in labels:
-            graph.add_node(label)
+        graph._labels, graph._index, graph._canonical, graph._last_key = sorted_namespace(labels)
         return graph
 
     @classmethod
@@ -185,7 +271,7 @@ class CsrGraph:
         """Internal: wrap already-built CSR arrays (subgraph fast path)."""
         graph = cls()
         graph._labels = labels
-        graph._index = {label: i for i, label in enumerate(labels)}
+        graph._index = dict(zip(labels, range(len(labels))))
         graph._last_key = node_sort_key(labels[-1]) if labels else None
         graph._total_weight = total_weight
         graph._finalized = True
@@ -253,37 +339,43 @@ class CsrGraph:
     def _finalize(self) -> None:
         if self._finalized:
             return
-        self._finalized = True
         n0 = len(self._labels)
+        us, vs, ws = (
+            self._pending(parts, dtype)
+            for parts, dtype in (
+                (self._pend_u, np.int64),
+                (self._pend_v, np.int64),
+                (self._pend_w, np.float64),
+            )
+        )
+        kernel = _library()
+        arrays = None if kernel is None else _arrays_from_pairs(kernel, n0, us, vs, ws)
+        if arrays is None:
+            # Symmetrise: each half-edge (u, v) appears as entries (u, v)
+            # and (v, u); row-major/ascending-column order reproduces the
+            # dict backend's insertion order for ascending (iu, iv) input.
+            rows = np.concatenate([us, vs])
+            cols = np.concatenate([vs, us])
+            order = np.lexsort((cols, rows))
+            indptr = np.zeros(n0 + 1, dtype=np.int64)
+            if len(rows):
+                np.cumsum(np.bincount(rows, minlength=n0), out=indptr[1:])
+            arrays = indptr, cols[order], np.concatenate([ws, ws])[order]
+        # Arrays first, the flag next, the pending columns last: a reader
+        # that sees the flag sees the arrays.
+        self._indptr, self._indices, self._weights = arrays
         self._n0 = n0
-        if self._pend_u:
-            us = np.concatenate(
-                [np.asarray(part, dtype=np.int64) for part in self._pend_u]
-            )
-            vs = np.concatenate(
-                [np.asarray(part, dtype=np.int64) for part in self._pend_v]
-            )
-            ws = np.concatenate(
-                [np.asarray(part, dtype=np.float64) for part in self._pend_w]
-            )
-        else:
-            us = np.zeros(0, dtype=np.int64)
-            vs = np.zeros(0, dtype=np.int64)
-            ws = np.zeros(0, dtype=np.float64)
+        self._finalized = True
         self._pend_u = self._pend_v = self._pend_w = []
-        # Symmetrise: each half-edge (u, v) appears as entries (u, v) and
-        # (v, u); row-major/ascending-column order reproduces the dict
-        # backend's insertion order for ascending (iu, iv) input.
-        rows = np.concatenate([us, vs])
-        cols = np.concatenate([vs, us])
-        both = np.concatenate([ws, ws])
-        order = np.lexsort((cols, rows))
-        self._indices = cols[order]
-        self._weights = both[order]
-        indptr = np.zeros(n0 + 1, dtype=np.int64)
-        if len(rows):
-            np.cumsum(np.bincount(rows, minlength=n0), out=indptr[1:])
-        self._indptr = indptr
+
+    @staticmethod
+    def _pending(parts: list, dtype):
+        """One contiguous array of a pending column (no copy for one part)."""
+        if len(parts) == 1:
+            return np.ascontiguousarray(parts[0], dtype=dtype)
+        if not parts:
+            return np.zeros(0, dtype=dtype)
+        return np.concatenate([np.asarray(part, dtype=dtype) for part in parts])
 
     def _lists(self) -> tuple[list[int], list[int], list[float]]:
         """Python mirrors of the arrays for per-row scalar iteration."""
@@ -543,45 +635,27 @@ class CsrGraph:
         else:
             labels = self._labels
             ordered = sorted(keep, key=lambda i: node_sort_key(labels[i]))
-        if self._mutated or not self._canonical:
+        kernel = None if self._mutated or not self._canonical else _library()
+        if kernel is None:
             return self._subgraph_generic(ordered)
-        return self._subgraph_arrays(ordered)
-
-    def _subgraph_arrays(self, ordered: list[int]) -> "CsrGraph":
-        labels = [self._labels[i] for i in ordered]
+        ids = array("q", ordered)
         k = len(ordered)
-        indptr = self._indptr
-        ids = np.asarray(ordered, dtype=np.int64)
-        counts = indptr[ids + 1] - indptr[ids] if k else np.zeros(0, dtype=np.int64)
-        total = int(counts.sum()) if k else 0
-        if not total:
-            return CsrGraph._from_arrays(
-                labels,
-                np.zeros(k + 1, dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.float64),
-                0.0,
-            )
-        # Gather every member row's entry positions in row-major order.
-        starts = indptr[ids]
-        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        pos = np.repeat(starts - offsets, counts) + np.arange(total)
-        cols_sel = self._indices[pos]
-        w_sel = self._weights[pos]
-        rows_local = np.repeat(np.arange(k, dtype=np.int64), counts)
-        remap = np.full(self._n0, -1, dtype=np.int64)
-        remap[ids] = np.arange(k, dtype=np.int64)
-        cols_local = remap[cols_sel]
-        mask = cols_local >= 0
-        rows_f = rows_local[mask]
-        cols_f = cols_local[mask]
-        w_f = w_sel[mask]
-        sub_indptr = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows_f, minlength=k), out=sub_indptr[1:])
-        # Total weight: the dict backend adds each edge at its first
-        # encounter — upper-triangle entries in row-major order.
-        total_weight = sum_in_order(w_f[cols_f > rows_f].tolist())
-        return CsrGraph._from_arrays(labels, sub_indptr, cols_f, w_f, total_weight)
+        count = self._induced(kernel, ids)
+        indptr = np.empty(k + 1, dtype=np.int64)
+        indices = np.empty(count, dtype=np.int64)
+        weights = np.empty(count, dtype=np.float64)
+        total = np.empty(1, dtype=np.float64)
+        self._induced(kernel, ids, indptr, indices, weights, total)
+        labels = [self._labels[i] for i in ordered]
+        return CsrGraph._from_arrays(labels, indptr, indices, weights, float(total[0]))
+
+    def _induced(self, kernel, ids: array, *outputs) -> int:
+        """:func:`induced_entries` over the base arrays; *outputs* are
+        ``indptr, indices, weights, total`` arrays sized for the subgraph."""
+        arrays_at = (_address(self._indptr), _address(self._indices), _address(self._weights))
+        if outputs:
+            outputs = (len(outputs[1]), *map(_address, outputs))
+        return induced_entries(kernel, self._n0, arrays_at, len(self._indices), ids, *outputs)
 
     def _subgraph_generic(self, ordered: list[int]) -> WeightedGraph:
         # Mutated/non-canonical source: replicate WeightedGraph.subgraph
@@ -615,9 +689,9 @@ class CsrGraph:
         """Density of the induced subgraph (same integer count as the
         dict backend, without materialising anything).
 
-        The edge count is an integer — no float accumulation — so the
-        base count runs as one gather + searchsorted over the member
-        rows' entries with nothing to prove about ordering.
+        Base edges are counted from the members' rows (by the kernel's
+        gather when the library loads), overlay edges from the members'
+        overlay rows, each pair once at its smaller id.
         """
         index = self._index
         members = {index[node] for node in nodes if node in index}
@@ -625,30 +699,23 @@ class CsrGraph:
         if n < 2:
             return 0.0
         self._finalize()
-        ids = np.fromiter(members, dtype=np.int64, count=n)
-        ids.sort()
-        base_ids = ids[ids < self._n0] if len(self._labels) != self._n0 else ids
-        edges = 0
-        if len(base_ids) and len(self._indices):
-            starts = self._indptr[base_ids]
-            counts = self._indptr[base_ids + 1] - starts
-            total = int(counts.sum())
-            if total:
-                offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-                pos = np.repeat(starts - offsets, counts) + np.arange(total)
-                cols_sel = self._indices[pos]
-                loc = np.minimum(np.searchsorted(ids, cols_sel), n - 1)
-                # Every internal adjacency shows up in both endpoint rows.
-                edges = int((ids[loc] == cols_sel).sum()) // 2
-        if self._extra_pairs:
-            for iu, iv in self._extra_pairs:
-                if (
-                    iu != iv
-                    and iu in members
-                    and iv in members
-                    and not self._base_has(iu, iv)
-                ):
-                    edges += 1
+        n0 = self._n0
+        base = sorted(members) if len(self._labels) == n0 else sorted(i for i in members if i < n0)
+        kernel = _library()
+        if kernel is not None:
+            # Each internal adjacency shows up in both endpoint rows.
+            edges = self._induced(kernel, array("q", base)) // 2
+        else:
+            ip, cols, _ = self._lists()
+            edges = sum(len(members.intersection(cols[ip[i] : ip[i + 1]])) for i in base) // 2
+        extra_adj = self._extra_adj
+        if extra_adj:
+            for i in members:
+                row = extra_adj.get(i)
+                if row:
+                    for j in row:
+                        if j > i and j in members and not self._base_has(i, j):
+                            edges += 1
         return 2.0 * edges / (n * (n - 1))
 
     # -- modularity ----------------------------------------------------------------
@@ -656,9 +723,10 @@ class CsrGraph:
     def _modularity(self, partition) -> float:
         """Newman modularity Q (the ``repro.graph.modularity`` dispatch).
 
-        Vectorised over the frozen arrays when the graph is unmutated;
-        the merged-row scalar walk (the dict backend's exact loop)
-        otherwise.  Both accumulate Q in first-occurrence community
+        The kernel sums each community's internal and degree weights over
+        the frozen arrays when the graph is unmutated and the library
+        loads; the merged-row scalar walk (the dict backend's exact loop)
+        runs otherwise.  Both accumulate Q in first-occurrence community
         order with python floats.
         """
         m2 = 2.0 * self._total_weight
@@ -666,43 +734,42 @@ class CsrGraph:
             return 0.0
         self._finalize()
         labels = self._labels
-        if self._mutated:
+        kernel = None if self._mutated else _library()
+        if kernel is None:
             return self._modularity_generic(partition, m2)
         try:
             communities = [partition[node] for node in labels]
         except KeyError as exc:
             raise GraphError(f"partition is missing node {exc.args[0]!r}") from None
-        comm = np.asarray(communities, dtype=np.int64)
-        if len(comm) and (comm.min() < 0 or comm.max() > 4 * len(comm) + 16):
-            # Sparse or negative community labels: bincount would blow
-            # up; the scalar walk handles any labelling.
+        try:
+            community = array("q", communities)
+        except (TypeError, OverflowError):
             return self._modularity_generic(partition, m2)
-        n_bins = int(comm.max()) + 1 if len(comm) else 0
-        indptr = self._indptr
-        rows = np.repeat(
-            np.arange(self._n0, dtype=np.int64), np.diff(indptr)
+        n = len(community)
+        if n and (min(community) < 0 or max(community) > 4 * n + 16):
+            # Sparse or negative community labels: the scalar walk
+            # handles any labelling.
+            return self._modularity_generic(partition, m2)
+        n_labels = max(community) + 1 if n else 0
+        rank = np.empty(n_labels, dtype=np.int64)
+        internal = np.empty(n, dtype=np.float64)
+        degree = np.empty(n, dtype=np.float64)
+        count = kernel.csr_community_sums(
+            n,
+            _address(self._indptr),
+            _address(self._indices),
+            _address(self._weights),
+            len(self._indices),
+            community.buffer_info()[0],
+            n_labels,
+            _address(rank),
+            n,
+            _address(internal),
+            _address(degree),
         )
-        row_sums = np.bincount(rows, weights=self._weights, minlength=self._n0)
-        degree_sum = np.bincount(comm, weights=row_sums, minlength=n_bins)
-        comm_rows = comm[rows]
-        internal_mask = comm_rows == comm[self._indices]
-        internal = np.bincount(
-            comm_rows[internal_mask],
-            weights=self._weights[internal_mask],
-            minlength=n_bins,
-        )
-        # Q accumulates per community in first-occurrence (node id) order,
-        # with python floats — the dict-iteration order of the reference.
-        uniq, first_idx = np.unique(comm, return_index=True)
-        order = np.argsort(first_idx)
-        uniq_l = uniq.tolist()
-        internal_l = internal.tolist()
-        degree_l = degree_sum.tolist()
-        q = 0.0
-        for pos in order.tolist():
-            community = uniq_l[pos]
-            q += internal_l[community] / m2 - (degree_l[community] / m2) ** 2
-        return q
+        if count < 0:
+            raise GraphError(f"community sums refused (code {count})")
+        return modularity_from_sums(internal[:count].tolist(), degree[:count].tolist(), m2)
 
     def _modularity_generic(self, partition, m2: float) -> float:
         labels = self._labels

@@ -38,13 +38,17 @@ Compiled kernel
 A frozen :class:`~repro.graph.csr.CsrGraph` (one whose ``csr_view`` is
 not ``None``) runs both phases in an exact C kernel,
 ``_louvain_kernel.c``, which :mod:`repro.graph._kernel` compiles on
-first use and loads through ctypes.  :func:`_kernel_membership` holds
+first use and loads through ctypes.  :class:`_KernelLevels` holds
 the level arrays and makes one foreign call per sweep and one per
-aggregation.  The seeded shuffle stays here: each sweep shuffles the
-same list the reference shuffles and copies it into the kernel's order
-buffer, so the RNG draws are the reference's.  The kernel repeats every
-float operation of :func:`_local_move`, :func:`_aggregate` and
-:class:`_Level` in the same order, so the result is identical.
+aggregation; the final partition's parts (in :class:`LouvainResult`
+order) and its modularity sums come from the same kernel, in node ids,
+and labels are attached only at the end.  The seeded shuffle stays
+here: each sweep shuffles the same list the reference shuffles and
+copies it into the kernel's order buffer, so the RNG draws are the
+reference's.  The kernel repeats every float operation of
+:func:`_local_move`, :func:`_aggregate`, :class:`_Level` and
+:func:`~repro.graph.modularity.modularity` in the same order, so the
+result is identical.
 ``WeightedGraph`` inputs (``use_csr=False``, ``--pure-python``), mutated
 CSR graphs and machines without a C compiler run the pure-Python
 reference.
@@ -52,12 +56,14 @@ reference.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter, defaultdict
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 from repro.config import LouvainConfig
 from repro.errors import GraphError
+from repro.graph.csr import induced_entries, modularity_from_sums
 from repro.graph.csr import np as _np
 from repro.graph.modularity import modularity
 from repro.graph.wgraph import WeightedGraph, canonical_nodes, sum_in_order
@@ -258,15 +264,21 @@ def _carve(dtype, sizes: tuple[int, ...]) -> tuple[list, list[int]]:
 
 
 class _KernelLevels:
-    """One Louvain run's levels in the compiled kernel.
+    """Louvain runs in the compiled kernel, on one graph's buffers.
 
     The twin of :class:`_Level`, :func:`_local_move` and
     :func:`_aggregate`, over CSR arrays: ``level`` holds the current
-    level's ``(indptr, indices, weights, loops, degree)``.  The entry
-    level is the graph's own arrays; coarse levels alternate between two
-    buffer slots sized for the entry level, which bounds every coarser
-    one.  ``membership`` maps each original node to its super-node on
-    the current level.
+    level's ``(indptr, indices, weights, loops, degree)``, and
+    ``membership`` maps each node the run started from to its super-node
+    on the current level.  Construction validates the graph's arrays and
+    starts a run on them; coarse levels alternate between two buffer
+    slots sized for the graph, which bounds every coarser level.
+
+    One instance serves a whole mine (:func:`repro.core.ashmining.mine_herds`):
+    :meth:`gather` writes the induced subgraph of a member set into the
+    first slot and :meth:`start_subgraph` starts the next run on it, so
+    refinement re-runs allocate nothing.  The buffers live only as long
+    as the instance; nothing is stored on the graph.
     """
 
     def __init__(self, kernel, view) -> None:
@@ -275,8 +287,8 @@ class _KernelLevels:
         indices = _np.ascontiguousarray(view.indices, dtype=_np.int64)
         weights = _np.ascontiguousarray(view.weights, dtype=_np.float64)
         entries = len(indices)
-        # The kernel indexes with these arrays unchecked: refuse any that
-        # could send it out of bounds.
+        # The sweep and aggregation index with these arrays unchecked:
+        # refuse any that could send them out of bounds.
         if (
             len(indptr) != n + 1
             or indptr[0] != 0
@@ -287,25 +299,29 @@ class _KernelLevels:
         ):
             raise GraphError("malformed CSR view: indptr, indices and weights disagree")
         self._kernel = kernel
-        self._n_members = n
-        # ints: community, order, membership, touched (n each) and the
-        # aggregation work (3n + 1), then per slot indptr and indices.
-        ints, int_at = _carve(_np.int64, (n, n, n, n, 3 * n + 1, n + 1, entries, n + 1, entries))
+        self.labels = view.labels
+        self._entries = entries
+        # ints: community, order, touched (n each) and the aggregation
+        # work (3n + 1), which parts() reuses, then membership and per
+        # slot indptr and indices.
+        ints, int_at = _carve(_np.int64, (n, n, n, 3 * n + 1, n, n + 1, entries, n + 1, entries))
         # floats: entry loops (all zero) and degree, community degree and
-        # neighbour-weight scratch (n each), the coarse total weight, then
-        # per slot weights, loops and degree.
-        floats, float_at = _carve(_np.float64, (n, n, n, n, 1, entries, n, n, entries, n, n))
+        # neighbour-weight scratch (n each), the coarse and the gathered
+        # subgraph's total weight, then per slot weights, loops and degree.
+        floats, float_at = _carve(_np.float64, (n, n, n, n, 2, entries, n, n, entries, n, n))
         self._seen = _np.zeros(n, dtype=_np.uint8)
         self._seen_at = self._seen.ctypes.data
-        self.community, self._order, self.membership = ints[:3]
-        self.community_degree = floats[2]
+        self.community, self._order = ints[:2]
+        self.membership = ints[4]
+        self._ints_at = int_at[0]
+        self.community_degree, self._acc = floats[2:4]
         self._total = floats[4]
         (
             self._community_at,
             self._order_at,
-            self._membership_at,
             self._touched_at,
             self._work_at,
+            self._membership_at,
         ) = int_at[:5]
         self._community_degree_at, self._acc_at, self._total_at = float_at[2:5]
         # Per slot: (indptr, indices, weights, loops, degree), as views
@@ -317,14 +333,24 @@ class _KernelLevels:
             )
             for i, f in ((5, 5), (7, 8))
         ]
-        self._next_slot = 0
-        self.membership[:] = _np.arange(n, dtype=_np.int64)
-        self.n = n
-        # The entry level is the graph's arrays, with zero self-loops.
-        self.level = (indptr, indices, weights, floats[0], floats[1])
-        self._level_at = tuple(array.ctypes.data for array in self.level)
+        # The graph's arrays, with zero self-loops, are the first entry level.
+        self._entry = tuple(floats[:2])
+        self._entry_at = tuple(float_at[:2])
+        self._graph = (indptr, indices, weights)
+        self._graph_at = tuple(array.ctypes.data for array in self._graph)
+        self._graph_n = n
+        self.sub_total = 0.0
+        self._start(n, self._graph, self._graph_at, 0)
+
+    def _start(self, n: int, arrays, arrays_at, next_slot: int) -> None:
+        """Start a run on the *n*-node level held in *arrays*."""
+        self.n = self._n_members = n
+        self._next_slot = next_slot
+        self.membership[:n] = _np.arange(n, dtype=_np.int64)
+        self.level = (*arrays, *self._entry)
+        self._level_at = (*arrays_at, *self._entry_at)
         indptr_at, _, weights_at, loops_at, degree_at = self._level_at
-        self.total_weight = kernel.louvain_init_level(
+        self.total_weight = self._kernel.louvain_init_level(
             n,
             indptr_at,
             weights_at,
@@ -333,6 +359,32 @@ class _KernelLevels:
             self._community_at,
             self._community_degree_at,
         )
+
+    def gather(self, ids: array) -> int:
+        """Write the subgraph induced by the ascending graph ids *ids* into
+        the first slot; returns its entry count and sets ``sub_total``."""
+        _, addresses = self._slots[0]
+        count = induced_entries(
+            self._kernel,
+            self._graph_n,
+            self._graph_at,
+            self._entries,
+            ids,
+            self._entries,
+            *addresses[:3],
+            self._total_at + 8,
+        )
+        self.sub_total = float(self._total[1])
+        return count
+
+    def count(self, ids: array) -> int:
+        """The entry count of the subgraph induced by *ids*; writes nothing."""
+        return induced_entries(self._kernel, self._graph_n, self._graph_at, self._entries, ids)
+
+    def start_subgraph(self, k: int) -> None:
+        """Start a run on the *k*-node subgraph the last :meth:`gather` wrote."""
+        views, addresses = self._slots[0]
+        self._start(k, views[:3], addresses[:3], 1)
 
     def local_move(self, config: LouvainConfig, rng) -> tuple[int, int]:
         """Phase 1, exactly :func:`_local_move`: ``(moves, sweeps)``.
@@ -405,23 +457,94 @@ class _KernelLevels:
         self.level = views
         self._level_at = addresses
 
+    def run(self, config: LouvainConfig, rng) -> tuple[int, int, int]:
+        """Both phases to convergence, exactly :func:`_reference_membership`:
+        ``(levels, moves, sweeps)``, with ``membership`` final."""
+        levels_run = 0
+        total_moves = 0
+        total_sweeps = 0
+        for _ in range(config.max_levels):
+            level_moves, level_sweeps = self.local_move(config, rng)
+            total_moves += level_moves
+            total_sweeps += level_sweeps
+            levels_run += 1
+            n_level = self.n
+            self.aggregate()
+            if not level_moves or self.n == n_level:
+                break
+        return levels_run, total_moves, total_sweeps
 
-def _kernel_membership(kernel, view, config: LouvainConfig, rng) -> tuple[list[int], int, int, int]:
-    """:func:`_reference_membership` in the compiled kernel."""
-    levels = _KernelLevels(kernel, view)
-    levels_run = 0
-    total_moves = 0
-    total_sweeps = 0
-    for _ in range(config.max_levels):
-        level_moves, level_sweeps = levels.local_move(config, rng)
-        total_moves += level_moves
-        total_sweeps += level_sweeps
-        levels_run += 1
-        n_level = levels.n
-        levels.aggregate()
-        if not level_moves or levels.n == n_level:
-            break
-    return levels.membership.tolist(), levels_run, total_moves, total_sweeps
+    def parts(self, ids: array | None = None) -> tuple[list[int], list[int]]:
+        """The run's final partition in :class:`LouvainResult` order.
+
+        Returns ``(starts, members)``: part ``p`` is
+        ``members[starts[p]:starts[p + 1]]``, ascending, and the parts
+        run by decreasing size, then smallest member.  Members are
+        ``ids[i]`` when *ids* is given, else the run's node ``i``.
+        """
+        k = self._n_members
+        # part_start and members go where community, order and touched
+        # were (3n >= 2k + 1 entries); the work buffer is the scratch.
+        parts = self._kernel.louvain_parts(
+            k,
+            self._membership_at,
+            k,
+            None if ids is None else ids.buffer_info()[0],
+            3 * self._graph_n + 1,
+            self._work_at,
+            k + 1,
+            self._ints_at,
+            k,
+            self._ints_at + 8 * (k + 1),
+        )
+        if parts < 0:
+            raise GraphError(f"partition refused (code {parts})")
+        block = self.community.base
+        return block[: parts + 1].tolist(), block[k + 1 : 2 * k + 1].tolist()
+
+    def modularity(self, m2: float, subgraph: bool = False) -> float:
+        """Q of the run's final partition, on the graph (``m2``: twice its
+        total weight) or on the subgraph the last :meth:`gather` wrote."""
+        if m2 == 0.0:
+            return 0.0
+        if subgraph:
+            _, addresses = self._slots[0]
+            indptr_at, indices_at, weights_at = addresses[:3]
+        else:
+            indptr_at, indices_at, weights_at = self._graph_at
+        k = self._n_members
+        count = self._kernel.csr_community_sums(
+            k,
+            indptr_at,
+            indices_at,
+            weights_at,
+            self._entries,
+            self._membership_at,
+            k,
+            self._work_at,
+            self._graph_n,
+            self._acc_at,
+            self._community_degree_at,
+        )
+        if count < 0:
+            raise GraphError(f"community sums refused (code {count})")
+        return modularity_from_sums(
+            self._acc[:count].tolist(), self.community_degree[:count].tolist(), m2
+        )
+
+
+def kernel_levels(graph) -> _KernelLevels | None:
+    """A :class:`_KernelLevels` started on *graph*, or ``None`` when the
+    compiled kernel cannot run it (no frozen CSR view, no nodes, or no
+    library)."""
+    view_of = getattr(graph, "csr_view", None)
+    view = view_of() if view_of is not None else None
+    if view is None or not len(view.labels):
+        return None
+    from repro.graph import _kernel  # deferred: nothing loads at import
+
+    kernel = _kernel.load()
+    return None if kernel is None else _KernelLevels(kernel, view)
 
 
 def _ordered_communities(
@@ -475,56 +598,65 @@ def louvain_communities(
     config.validate()
     rng = make_rng(config.seed)
 
-    view_of = getattr(graph, "csr_view", None) if use_index else None
-    csr = view_of() if view_of is not None else None
-    kernel = None
-    if csr is not None and len(csr.labels):
-        from repro.graph import _kernel  # deferred: nothing loads at import
-
-        kernel = _kernel.load()
-    if kernel is not None:
-        nodes = list(csr.labels)
-        membership, levels_run, total_moves, total_sweeps = _kernel_membership(
-            kernel, csr, config, rng
+    levels = kernel_levels(graph) if use_index else None
+    if levels is not None:
+        levels_run, total_moves, total_sweeps = levels.run(config, rng)
+        starts, members = levels.parts()
+        nodes = levels.labels
+        communities = tuple(
+            frozenset([nodes[i] for i in members[start:end]])
+            for start, end in zip(starts, starts[1:])
         )
+        partition = {
+            nodes[i]: position
+            for position, (start, end) in enumerate(zip(starts, starts[1:]))
+            for i in members[start:end]
+        }
+        return LouvainResult(
+            communities=communities,
+            partition=partition,
+            modularity=levels.modularity(2.0 * graph.total_weight),
+            levels=levels_run,
+            moves=total_moves,
+            sweeps=total_sweeps,
+            compiled=True,
+        )
+    view = graph.louvain_view() if use_index else None
+    if view is not None:
+        # Fast path: the graph's ids are already canonical and its rows
+        # ascending and loop-free, so its adjacency *is* the entry
+        # level.  `_Level` and `_aggregate` only read it; the labels
+        # are snapshotted because callers may grow the graph afterwards.
+        nodes, adjacency = list(view[0]), view[1]
+        loops = [0.0] * len(nodes)
     else:
-        view = graph.louvain_view() if use_index else None
-        if view is not None:
-            # Fast path: the graph's ids are already canonical and its rows
-            # ascending and loop-free, so its adjacency *is* the entry
-            # level.  `_Level` and `_aggregate` only read it; the labels
-            # are snapshotted because callers may grow the graph afterwards.
-            nodes, adjacency = list(view[0]), view[1]
-            loops = [0.0] * len(nodes)
-        else:
-            # Canonical node indexing: the integer id of a node depends
-            # only on the node set, not on graph insertion order, so the
-            # seeded shuffle visits the same servers in the same order on
-            # every run.
-            nodes = canonical_nodes(graph.nodes)
-            index_of = {node: i for i, node in enumerate(nodes)}
-            adjacency = [{} for _ in nodes]
-            loops = [0.0] * len(nodes)
-            for u, v, weight in graph.edges():
-                if weight <= 0.0:
-                    continue
-                if u == v:
-                    loops[index_of[u]] += weight
-                else:
-                    iu, iv = index_of[u], index_of[v]
-                    adjacency[iu][iv] = adjacency[iu].get(iv, 0.0) + weight
-                    adjacency[iv][iu] = adjacency[iv].get(iu, 0.0) + weight
-            # Sort each adjacency list by neighbour index: the iteration
-            # order of `_local_move`'s neighbour-community accumulation
-            # (and with it every equal-gain tie-break) becomes a function
-            # of the topology alone.
-            adjacency = [dict(sorted(neigh.items())) for neigh in adjacency]
-        if not nodes:
-            return LouvainResult(communities=(), partition={}, modularity=0.0, levels=0)
-        membership, levels_run, total_moves, total_sweeps = _reference_membership(
-            _Level(adjacency, loops), len(nodes), config, rng
-        )
-
+        # Canonical node indexing: the integer id of a node depends
+        # only on the node set, not on graph insertion order, so the
+        # seeded shuffle visits the same servers in the same order on
+        # every run.
+        nodes = canonical_nodes(graph.nodes)
+        index_of = {node: i for i, node in enumerate(nodes)}
+        adjacency = [{} for _ in nodes]
+        loops = [0.0] * len(nodes)
+        for u, v, weight in graph.edges():
+            if weight <= 0.0:
+                continue
+            if u == v:
+                loops[index_of[u]] += weight
+            else:
+                iu, iv = index_of[u], index_of[v]
+                adjacency[iu][iv] = adjacency[iu].get(iv, 0.0) + weight
+                adjacency[iv][iu] = adjacency[iv].get(iu, 0.0) + weight
+        # Sort each adjacency list by neighbour index: the iteration
+        # order of `_local_move`'s neighbour-community accumulation
+        # (and with it every equal-gain tie-break) becomes a function
+        # of the topology alone.
+        adjacency = [dict(sorted(neigh.items())) for neigh in adjacency]
+    if not nodes:
+        return LouvainResult(communities=(), partition={}, modularity=0.0, levels=0)
+    membership, levels_run, total_moves, total_sweeps = _reference_membership(
+        _Level(adjacency, loops), len(nodes), config, rng
+    )
     communities, partition = _ordered_communities(nodes, membership)
     return LouvainResult(
         communities=communities,
@@ -533,5 +665,4 @@ def louvain_communities(
         levels=levels_run,
         moves=total_moves,
         sweeps=total_sweeps,
-        compiled=kernel is not None,
     )

@@ -29,8 +29,8 @@ def modularity(graph: WeightedGraph, partition: Mapping[Node, int]) -> float:
     An empty graph (no edges) has modularity 0 by convention.
 
     Graphs that carry their own ``_modularity`` implementation (the CSR
-    backend, which runs this computation as masked segment sums over its
-    edge arrays) dispatch to it; the result is byte-identical to the
+    backend, whose compiled kernel adds up each community's sums over
+    its edge arrays) dispatch to it; the result is byte-identical to the
     walk below on the same logical graph.
     """
     impl = getattr(graph, "_modularity", None)

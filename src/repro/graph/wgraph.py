@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator
 from functools import reduce
-from operator import add
+from operator import add, le
 
 from repro.errors import GraphError
 
@@ -54,6 +54,24 @@ def node_sort_key(node: Node) -> str:
     not interpreter hash state — determine downstream behaviour.
     """
     return repr(node)
+
+
+def sorted_namespace(
+    labels: Iterable[Node],
+) -> tuple[list[Node], dict[Node, int], bool, str | None]:
+    """What one ``add_node`` per label leaves, computed in bulk.
+
+    Returns the labels (first occurrences, in order), their ids, the
+    canonical flag and the last sort key ``add_node`` recorded: the last
+    label's key, or the first key that broke the order.
+    """
+    unique = list(dict.fromkeys(labels))
+    index = dict(zip(unique, range(len(unique))))
+    keys = list(map(node_sort_key, unique))
+    ascending = list(map(le, keys, keys[1:]))
+    if all(ascending):
+        return unique, index, True, keys[-1] if keys else None
+    return unique, index, False, keys[ascending.index(False) + 1]
 
 
 def canonical_nodes(nodes: Iterable[Node]) -> list[Node]:
@@ -100,10 +118,13 @@ class WeightedGraph:
 
     @classmethod
     def from_sorted_labels(cls, labels: Iterable[Node]) -> "WeightedGraph":
-        """Graph with nodes pre-inserted from an already-sorted iterable."""
+        """Graph with nodes pre-inserted from an already-sorted iterable.
+
+        Exactly what one ``add_node`` per label leaves, built in bulk.
+        """
         graph = cls()
-        for label in labels:
-            graph.add_node(label)
+        graph._labels, graph._index, graph._canonical, graph._last_key = sorted_namespace(labels)
+        graph._adj = [{} for _ in graph._labels]
         return graph
 
     def add_node(self, node: Node) -> None:

@@ -20,11 +20,12 @@ from repro.synth import TraceGenerator, small_scenario
 
 @pytest.fixture(scope="class", params=["kernel", "reference"])
 def pair_path(request):
-    """Run a graph-building test class on each pair-counting path.
+    """Run a graph test class on each pair-counting and graph-query path.
 
     ``kernel`` leaves the compiled kernels to load as usual; ``reference``
     makes them unavailable, so ``sorted_pair_counts`` runs the
-    ``Counter`` reference (and Louvain its pure-Python one).
+    ``Counter`` reference, ``CsrGraph`` its lexsort and scalar queries
+    (and Louvain its pure-Python reference).
     """
     from repro.graph import _kernel
 

@@ -87,6 +87,7 @@ class TestResolveUseCsr:
 
 
 @needs_numpy
+@pytest.mark.usefixtures("pair_path")
 class TestCsrEdgeCases:
     def test_empty_graph(self):
         csr, ref = both_backends([])
@@ -209,6 +210,104 @@ class TestCsrEdgeCases:
         add_overlap_edges(fast, pairs, width, sizes, floor)
         slow.add_sorted_edges(overlap_ratio_edges(pairs, sizes, floor))
         assert_same_graph(fast, slow)
+
+
+class _NoIterSet(set):
+    """A set whose iteration fails: the overlay's pair set must not be walked."""
+
+    def __iter__(self):
+        raise AssertionError("density_of walked every overlay pair")
+
+
+@needs_numpy
+@pytest.mark.usefixtures("pair_path")
+class TestOverlayDensity:
+    """``density_of`` on a graph with overlay edges (the main graph after
+    ``_append_single_client_herds``) counts them from the members' rows."""
+
+    def _mutated_pair(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        n = 40
+        labels = [f"s{i:02d}" for i in range(n)]
+        edges = sorted(
+            (u, v, rng.choice((0.5, 1.0)))
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < 0.08
+        )
+        csr, ref = both_backends(labels, edges)
+        # Overlay cliques on base nodes (some pairs already base edges)
+        # and on new nodes, plus a self-loop.
+        for _ in range(12):
+            size = rng.randrange(2, 7)
+            members = sorted(rng.sample(range(n + 6), size))
+            names = [f"s{i:02d}" for i in members]
+            for a, first in enumerate(names):
+                for second in names[a + 1 :]:
+                    for graph in (csr, ref):
+                        graph.add_edge(first, second, 1.0)
+        for graph in (csr, ref):
+            graph.add_edge("s03", "s03", 1.0)
+        return rng, csr, ref
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_densities_equal_reference(self, seed):
+        rng, csr, ref = self._mutated_pair(seed)
+        assert csr.csr_view() is None
+        nodes = ref.nodes
+        member_sets = [nodes, ["s03"], ["s03", "s04"]]
+        member_sets += [rng.sample(nodes, rng.randrange(2, len(nodes))) for _ in range(40)]
+        expected = [ref.density_of(members) for members in member_sets]
+        assert [csr.density_of(members) for members in member_sets] == expected
+        csr._extra_pairs = _NoIterSet(csr._extra_pairs)
+        assert [csr.density_of(members) for members in member_sets] == expected
+
+
+def _one_by_one(cls, labels):
+    graph = cls()
+    for label in labels:
+        graph.add_node(label)
+    return graph
+
+
+class TestFromSortedLabels:
+    """The bulk insert leaves exactly what one ``add_node`` per label does."""
+
+    CASES = [
+        [],
+        ["a"],
+        ["a", "b", "c"],
+        ["a", "b", "a", "c"],
+        ["a", "a", "b"],
+        ["a\n", "a!"],
+        ["b", "a", "c"],
+        ["a", "c", "b", "d", "a"],
+        [1, 2, 10],
+        [("x", 1), ("x", 2)],
+    ]
+
+    @pytest.mark.parametrize("labels", CASES, ids=repr)
+    @pytest.mark.parametrize("backend", ["csr", "weighted"])
+    def test_matches_add_node(self, labels, backend):
+        if backend == "csr" and not HAVE_NUMPY:
+            pytest.skip("numpy not installed")
+        cls = CsrGraph if backend == "csr" else WeightedGraph
+        bulk = cls.from_sorted_labels(iter(labels))
+        single = _one_by_one(cls, labels)
+        assert bulk.nodes == single.nodes
+        assert bulk._index == single._index
+        assert bulk._canonical == single._canonical
+        assert bulk._last_key == single._last_key
+        assert (bulk.louvain_view() is None) == (single.louvain_view() is None)
+        if backend == "csr":
+            assert (bulk.csr_view() is None) == (single.csr_view() is None)
+        else:
+            assert bulk._adj == single._adj
+        bulk.add_node("zz")
+        single.add_node("zz")
+        assert bulk.nodes == single.nodes and bulk._last_key == single._last_key
 
 
 class TestResolveAutoCap:
